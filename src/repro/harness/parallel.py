@@ -259,9 +259,9 @@ def publish_traces(jobs: list[SimJob]) -> int:
     publishes its chunk prefix, so workers attach by name instead of
     compiling one private copy each.  Returns the number of segments
     created.  Best-effort throughout -- a trace that fails to publish
-    simply stays on the private layers (and a genuinely broken trace
-    reports its real error from the worker that simulates it, not
-    from here).
+    is counted and logged (``publish_errors``) and stays on the
+    private layers, and a genuinely broken trace reports its real
+    error from the worker that simulates it.
     """
     if not traces.shm_enabled():
         return 0
@@ -271,7 +271,8 @@ def publish_traces(jobs: list[SimJob]) -> int:
     for job in jobs:
         try:
             factories = job.mix.trace_factories(job.seed)
-        except Exception:
+        except traces.PUBLISH_ERRORS as exc:
+            store.drop_publish(f"mix {job.mix.name}", exc)
             continue
         for spec in factories:
             if not isinstance(spec, traces.TraceSpec):
@@ -284,8 +285,8 @@ def publish_traces(jobs: list[SimJob]) -> int:
     for spec, instructions in wanted.values():
         try:
             created += store.publish_prefix(spec, instructions)
-        except Exception:
-            continue
+        except traces.PUBLISH_ERRORS as exc:
+            store.drop_publish(f"trace {spec.name}", exc)
     return created
 
 

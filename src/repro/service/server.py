@@ -356,8 +356,9 @@ class ExperimentDaemon:
 
         Runs in the default executor so a cold compile never stalls
         the event loop; other clients keep submitting and watching
-        while the fabric warms up.  Best-effort: a failed publish just
-        means workers fall back to their private layers.
+        while the fabric warms up.  Best-effort: a failed publish is
+        counted and logged, and workers fall back to their private
+        layers.
         """
         if not traces.shm_enabled():
             return
@@ -369,7 +370,8 @@ class ExperimentDaemon:
         store = traces.get_store()
         try:
             factories = job.mix.trace_factories(job.seed)
-        except Exception:
+        except traces.PUBLISH_ERRORS as exc:
+            store.drop_publish(f"mix {job.mix.name}", exc)
             return
         for spec in factories:
             if not isinstance(spec, traces.TraceSpec):
@@ -379,7 +381,8 @@ class ExperimentDaemon:
                 continue
             try:
                 store.publish_prefix(spec, job.instructions)
-            except Exception:
+            except traces.PUBLISH_ERRORS as exc:
+                store.drop_publish(f"trace {spec.name}", exc)
                 continue
             if len(self._published_traces) >= 4096:
                 self._published_traces.clear()

@@ -7,8 +7,10 @@ feed ahead of the timing model:
 
 - :class:`TraceSpec` names a stream by value (app name, parameters,
   base, seed) and doubles as a plain trace factory;
-- :func:`~repro.traces.chunks.compile_chunk` flattens a stream into
-  ``array('q')`` gap/addr chunk buffers;
+- :meth:`TraceSpec.compiler` builds whole ``array('q')`` gap/addr
+  chunk buffers with array operations for the private kinds, and
+  :func:`~repro.traces.chunks.compile_chunk` flattens any generator
+  stream into the same buffers (the fallback and the oracle);
 - :class:`TraceStore` caches chunks under content keys, with an
   in-process LRU, an optional host-wide shared-memory layer
   (``REPRO_TRACE_SHM=1``, :class:`SharedChunkPool`) and an optional
@@ -22,7 +24,7 @@ feed ahead of the timing model:
 from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_nbytes, compile_chunk
 from repro.traces.shm import SharedChunkPool, get_pool, reset_pool, shm_enabled
 from repro.traces.spec import TRACE_FORMAT_VERSION, TraceSpec, generator_fingerprint
-from repro.traces.store import TraceStore, get_store, reset_store
+from repro.traces.store import PUBLISH_ERRORS, TraceStore, get_store, reset_store
 
 
 def register_stats(group) -> None:
@@ -32,6 +34,7 @@ def register_stats(group) -> None:
 
 __all__ = [
     "DEFAULT_CHUNK_PAIRS",
+    "PUBLISH_ERRORS",
     "TRACE_FORMAT_VERSION",
     "SharedChunkPool",
     "TraceSpec",

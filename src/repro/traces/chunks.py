@@ -21,11 +21,14 @@ def compile_chunk(iterator, chunk_pairs: int) -> array:
     """Materialise the next ``chunk_pairs`` ``(gap, addr)`` pairs of
     ``iterator`` as one flat buffer.
 
-    The ``islice``/``chain.from_iterable`` pipeline keeps the per-item
-    work in C: the only Python-level cost is the generator itself.
-    Trace generators are infinite by contract; a stream that ends
-    mid-chunk raises ``ValueError`` rather than yielding a short
-    buffer.
+    The ``islice``/``chain.from_iterable`` pipeline keeps the
+    flattening in C, but every pair still costs a generator resume
+    and its Python-level draws.  The store therefore compiles the
+    private trace kinds in bulk
+    (:meth:`~repro.traces.spec.TraceSpec.compiler`) and keeps this
+    function as the fallback and as the tests' oracle.  Trace
+    generators are infinite by contract; a stream that ends mid-chunk
+    raises ``ValueError`` rather than yielding a short buffer.
     """
     buf = array("q", chain.from_iterable(islice(iterator, chunk_pairs)))
     if len(buf) != 2 * chunk_pairs:

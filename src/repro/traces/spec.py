@@ -14,10 +14,11 @@ as they called the old ``functools.partial`` factories, while the
 optimized loop recognises the spec and switches to the chunk cursor.
 
 Cache keys fold in a *generator-source fingerprint* (the digest of the
-generator functions a kind executes), mirroring how the scheme
-registry's builder fingerprints invalidate the results cache: editing
-``generators.py`` invalidates exactly the chunk files whose streams it
-changes.
+generator and chunk-compiler functions a kind executes), mirroring how
+the scheme registry's builder fingerprints invalidate the results
+cache: editing ``generators.py`` invalidates exactly the chunk files
+whose streams it changes, whichever of the generator or the compiler
+produced them.
 """
 
 from __future__ import annotations
@@ -43,18 +44,30 @@ def _generators():
 
 
 def _kind_sources(kind: str) -> tuple:
-    """Generator functions whose source defines ``kind``'s stream."""
+    """Generator and compiler functions whose source defines
+    ``kind``'s stream."""
     gen = _generators()
     # Every private generator a shared wrapper might wrap is folded
     # into the wrapper's fingerprint (conservative: editing any
     # private shape invalidates the shared chunks too, which is cheap
     # and always safe).
-    private = (gen.zipf_stream, gen.loop_stream, gen.scan_stream, gen.phased_stream)
+    private = (
+        gen.zipf_stream,
+        gen._zipf_table,
+        gen.loop_stream,
+        gen.scan_stream,
+        gen.phased_stream,
+    )
+    # A private kind's chunks may come from its compiler instead, so
+    # the compiler and its helpers are part of its definition too.
+    compile_helpers = (gen._numpy_rng, gen._gaps, gen._interleave)
+    loop = (gen.loop_stream, gen.loop_compiler, gen._loop_columns) + compile_helpers
     sources = {
-        "zipf": (gen.zipf_stream,),
-        "loop": (gen.loop_stream,),
-        "scan": (gen.scan_stream, gen.loop_stream),
-        "phased-loop": (gen.phased_stream, gen.loop_stream),
+        "zipf": (gen.zipf_stream, gen._zipf_table, gen.zipf_compiler)
+        + compile_helpers,
+        "loop": loop,
+        "scan": (gen.scan_stream, gen.scan_compiler) + loop,
+        "phased-loop": (gen.phased_stream, gen.phased_loop_compiler) + loop,
         "pc-shared": (gen.producer_consumer_stream, gen._shared_rng) + private,
         "table-shared": (gen.shared_table_stream, gen._shared_rng) + private,
         "migratory-shared": (gen.migratory_stream, gen._shared_rng) + private,
@@ -68,7 +81,7 @@ def _kind_sources(kind: str) -> tuple:
 
 
 def generator_fingerprint(kind: str) -> str:
-    """Digest of the generator sources behind ``kind``.
+    """Digest of the generator and compiler sources behind ``kind``.
 
     Best-effort like the registry fingerprints: if source is
     unavailable (frozen interpreter), the repr stands in.
@@ -166,6 +179,39 @@ class TraceSpec:
                 core, num_cores, shared_seed, self.seed,
             )
         raise ValueError(f"unknown trace kind {kind!r}")
+
+    def compiler(self):
+        """A fresh ``next_chunk(pairs)`` compiler for this stream, or
+        ``None`` when chunks must come from :meth:`generator`.
+
+        The private kinds compile whole chunks with array operations,
+        byte-identical to ``compile_chunk(self.generator(), pairs)``.
+        The shared kinds always return ``None``: how many draws their
+        wrappers take depends on the data.  So does every kind when
+        numpy cannot be imported.  A subclass that redefines
+        :meth:`generator` keeps its own stream: the compilers reproduce
+        this class's generators only.
+        """
+        if type(self).generator is not TraceSpec.generator:
+            return None
+        gen = _generators()
+        kind = self.kind
+        params = self.params
+        if kind == "zipf":
+            ws_lines, alpha, mean_gap = params
+            return gen.zipf_compiler(ws_lines, alpha, mean_gap, self.base, self.seed)
+        if kind == "loop":
+            ws_lines, mean_gap = params
+            return gen.loop_compiler(ws_lines, mean_gap, self.base, self.seed)
+        if kind == "scan":
+            ws_lines, mean_gap = params
+            return gen.scan_compiler(ws_lines, mean_gap, self.base, self.seed)
+        if kind == "phased-loop":
+            ws_lines, ws2_lines, mean_gap, phase_accesses = params
+            return gen.phased_loop_compiler(
+                ws_lines, ws2_lines, mean_gap, phase_accesses, self.base, self.seed
+            )
+        return None
 
     def __call__(self):
         return self.generator()

@@ -20,11 +20,14 @@ Layers, cheapest first:
    recorded in the ``meta.json`` sidecar and verified on load, so a
    cache directory copied across endianness fails loudly instead of
    corrupting traces);
-4. **compile**: pull pairs from the spec's generator.  Each trace
-   keeps a *producer* (its live generator plus the next chunk index)
-   so sequential requests never regenerate the prefix; a request
-   behind an evicted producer restarts the generator from item zero,
-   which is always correct because the streams are deterministic.
+4. **compile**: produce chunks from the spec's compiler
+   (:meth:`TraceSpec.compiler`: whole chunks by array operations, for
+   the private kinds when numpy imports) or else its generator.  Each
+   trace keeps a *producer* (its live compiler plus the next chunk
+   index) so sequential requests never regenerate the prefix; a
+   request behind an evicted producer restarts the stream from item
+   zero, which is always correct because the streams are
+   deterministic.
 
 Environment knobs:
 
@@ -50,13 +53,14 @@ import sys
 import tempfile
 from array import array
 from collections import OrderedDict
+from functools import partial
 from pathlib import Path
 
 from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_instructions, compile_chunk
 from repro.traces.shm import get_pool, shm_enabled
 from repro.traces.spec import TraceSpec
 
-#: Producers kept alive per store (live generators are cheap; this
+#: Producers kept alive per store (live compilers are cheap; this
 #: only bounds pathological sweeps over thousands of distinct traces).
 MAX_PRODUCERS = 128
 
@@ -68,6 +72,14 @@ MAX_PRODUCERS = 128
 MAX_KEY_MEMO = 4096
 
 _DEFAULT_MEM_CHUNKS = 128
+
+#: What ``Mix.trace_factories`` and :meth:`TraceStore.publish_prefix`
+#: raise for a trace that cannot be published: a malformed spec or a
+#: stream that ends (``ValueError``), a foreign-endian disk cache
+#: (``RuntimeError``), an unusable disk or shared-memory directory
+#: (``OSError``).  Publishers count and log these through
+#: :meth:`TraceStore.drop_publish` and carry on.
+PUBLISH_ERRORS = (OSError, ValueError, RuntimeError)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -113,6 +125,7 @@ class TraceStore:
         self.shm_misses = 0
         self.shm_publishes = 0
         self.shm_bytes = 0
+        self.publish_errors = 0
 
     # -- keys and layout ------------------------------------------------
 
@@ -311,19 +324,20 @@ class TraceStore:
         every chunk produced on the way."""
         producer = self._producers.pop(key, None)
         if producer is None or producer[1] > index:
-            producer = (spec.generator(), 0)
-        iterator, next_index = producer
+            next_chunk = spec.compiler() or partial(compile_chunk, spec.generator())
+            producer = (next_chunk, 0)
+        next_chunk, next_index = producer
         chunk_pairs = self.chunk_pairs
         chunk = None
         while next_index <= index:
-            chunk = compile_chunk(iterator, chunk_pairs)
+            chunk = next_chunk(chunk_pairs)
             self.compiles += 1
             self.bytes_compiled += chunk.itemsize * len(chunk)
             self._remember((key, next_index), chunk)
             self._store_disk(spec, key, next_index, chunk)
             next_index += 1
         producers = self._producers
-        producers[key] = (iterator, next_index)
+        producers[key] = (next_chunk, next_index)
         while len(producers) > MAX_PRODUCERS:
             producers.popitem(last=False)
         return chunk
@@ -383,6 +397,17 @@ class TraceStore:
             covered += chunk_instructions(chunk)
         return created
 
+    def drop_publish(self, what: str, exc: Exception) -> None:
+        """Count and log one publish a sweep owner gave up on: the
+        trace stays on the private layers, where the worker that
+        simulates it reports any real error."""
+        self.publish_errors += 1
+        print(
+            f"repro: trace publish dropped for {what}: "
+            f"{type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+
     # -- inspection / maintenance ---------------------------------------
 
     def counters(self) -> dict[str, int]:
@@ -398,13 +423,14 @@ class TraceStore:
             "shm_misses": self.shm_misses,
             "shm_publishes": self.shm_publishes,
             "shm_bytes": self.shm_bytes,
+            "publish_errors": self.publish_errors,
         }
 
     def register_stats(self, group) -> None:
         """Register the store's counters into a stats tree group."""
         group.stat("mem_hits", lambda: self.mem_hits, "chunks served from the in-process LRU")
         group.stat("disk_hits", lambda: self.disk_hits, "chunks loaded from the on-disk store")
-        group.stat("compiles", lambda: self.compiles, "chunks compiled from generators")
+        group.stat("compiles", lambda: self.compiles, "chunks compiled by the spec's compiler or generator")
         group.stat("evictions", lambda: self.evictions, "chunks dropped by the LRU")
         group.stat("bytes_compiled", lambda: self.bytes_compiled, "bytes produced by the compile layer")
         group.stat("bytes_read", lambda: self.bytes_read, "bytes loaded from disk")
@@ -413,6 +439,7 @@ class TraceStore:
         group.stat("shm_misses", lambda: self.shm_misses, "shared-memory lookups that fell through")
         group.stat("shm_publishes", lambda: self.shm_publishes, "segments published by this process")
         group.stat("shm_bytes", lambda: self.shm_bytes, "bytes served zero-copy from shared memory")
+        group.stat("publish_errors", lambda: self.publish_errors, "trace publishes dropped after an error")
 
     def clear_memory(self) -> None:
         """Drop the LRU and producers (counters are kept)."""

@@ -22,6 +22,17 @@ through their miss-versus-capacity curves under LRU:
 ``phased_stream`` alternates two generators to create the time-varying
 behaviour UCP reacts to in Figure 8.
 
+Each private shape also has a *chunk compiler* (``zipf_compiler``,
+``loop_compiler``, ``scan_compiler``, ``phased_loop_compiler``) that
+produces the same stream a whole chunk at a time.  It hands the
+generator's ``random.Random`` state to ``numpy.random.RandomState``
+(legacy ``random_sample`` uses ``random.random``'s 53-bit formula, so
+the draws are the same doubles) and builds gaps and addresses with
+array operations.  The generators stay the reference: compiled chunks
+are byte-identical to ``compile_chunk(generator, n)``, and a compiler
+returns ``None`` -- falling back to the generator -- when numpy is
+unavailable or the parameters are degenerate.
+
 The ``*_shared`` wrappers turn a private per-core stream into a
 multi-threaded one: with probability ``fraction`` an access is
 redirected into a *shared region* that overlaps the same lines on
@@ -45,10 +56,20 @@ from __future__ import annotations
 
 import bisect
 import random
-from collections.abc import Iterator
+from array import array
+from collections.abc import Callable, Iterator
 from math import log as _log
 
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is present in CI
+    _np = None
+
 TracePair = tuple[int, int]
+
+#: ``next_chunk(pairs)``: the next ``pairs`` pairs of a stream as one
+#: flat ``array('q')`` of interleaved ``gap, addr`` items.
+ChunkCompiler = Callable[[int], array]
 
 
 def _gap(rng: random.Random, mean_gap: float) -> int:
@@ -68,15 +89,7 @@ def zipf_stream(
     if ws_lines <= 0:
         raise ValueError("ws_lines must be positive")
     rng = random.Random(seed)
-    cumulative = []
-    total = 0.0
-    for rank in range(1, ws_lines + 1):
-        total += rank**-alpha
-        cumulative.append(total)
-    # Map popularity ranks to scattered line offsets so the footprint
-    # is not contiguous (defeats accidental spatial effects).
-    perm = list(range(ws_lines))
-    rng.shuffle(perm)
+    cumulative, total, perm = _zipf_table(ws_lines, alpha, rng)
     # Hot loop: expovariate is inlined (its body is exactly
     # ``-log(1 - random()) / lambd``) so each item costs two C-level
     # RNG draws, one bisect and one log -- no Python calls.
@@ -90,6 +103,23 @@ def zipf_stream(
     while True:
         rank = bisect_left(cumulative, rnd() * total)
         yield int(-_log(1.0 - rnd()) / lambd), base + perm[rank]
+
+
+def _zipf_table(
+    lines: int, alpha: float, rng: random.Random
+) -> tuple[list[float], float, list[int]]:
+    """Cumulative Zipf(alpha) weights over ``lines`` ranks, their
+    total, and a ``rng``-shuffled rank-to-line permutation."""
+    cumulative = []
+    total = 0.0
+    for rank in range(1, lines + 1):
+        total += rank**-alpha
+        cumulative.append(total)
+    # Map popularity ranks to scattered line offsets so the footprint
+    # is not contiguous (defeats accidental spatial effects).
+    perm = list(range(lines))
+    rng.shuffle(perm)
+    return cumulative, total, perm
 
 
 def loop_stream(
@@ -185,14 +215,9 @@ def shared_table_stream(
     """
     if shared_lines <= 0:
         raise ValueError("shared_lines must be positive")
-    common = random.Random(shared_seed)
-    cumulative = []
-    total = 0.0
-    for rank in range(1, shared_lines + 1):
-        total += rank**-alpha
-        cumulative.append(total)
-    perm = list(range(shared_lines))
-    common.shuffle(perm)
+    cumulative, total, perm = _zipf_table(
+        shared_lines, alpha, random.Random(shared_seed)
+    )
     rnd = _shared_rng(shared_seed, seed).random
     bisect_left = bisect.bisect_left
     while True:
@@ -265,3 +290,146 @@ def phased_stream(
             yield next(gen_a)
         for _ in range(phase_accesses):
             yield next(gen_b)
+
+
+# -- chunk compilers ---------------------------------------------------
+
+
+def _numpy_rng(rng: random.Random):
+    """A ``numpy.random.RandomState`` that continues ``rng``'s MT19937
+    stream: ``random_sample(n)`` returns the next ``n`` values
+    ``rng.random()`` would, bit for bit."""
+    _version, internal, _gauss = rng.getstate()
+    state = _np.random.RandomState(0)
+    state.set_state(
+        ("MT19937", _np.array(internal[:624], dtype=_np.uint32), internal[624])
+    )
+    return state
+
+
+def _gaps(draws, lambd: float):
+    """``int(-log(1.0 - u) / lambd)`` for every draw ``u``.
+
+    The logs come from the interpreter's ``math.log``, not ``np.log``:
+    the two may round differently in the last place, and ``int()``
+    turns a 1-ulp difference into a different gap.
+    """
+    logs = _np.fromiter(
+        map(_log, (1.0 - draws).tolist()), dtype=_np.float64, count=len(draws)
+    )
+    return (-logs / lambd).astype(_np.int64)
+
+
+def _interleave(gaps, addrs) -> array:
+    """Flat ``gap, addr, gap, addr, ...`` chunk from two columns
+    (``gaps`` may be the scalar 0)."""
+    out = _np.empty(2 * len(addrs), dtype=_np.int64)
+    out[0::2] = gaps
+    out[1::2] = addrs
+    chunk = array("q")
+    chunk.frombytes(out.tobytes())
+    return chunk
+
+
+def zipf_compiler(
+    ws_lines: int,
+    alpha: float,
+    mean_gap: float,
+    base: int,
+    seed: int,
+) -> ChunkCompiler | None:
+    """``zipf_stream`` a chunk at a time: ``searchsorted`` (left side)
+    over the same table stands in for ``bisect_left``.  Per pair the
+    generator draws the rank first and then the gap, so the two
+    columns take alternate draws."""
+    if _np is None or ws_lines <= 0:
+        return None
+    rng = random.Random(seed)
+    cumulative, total, perm = _zipf_table(ws_lines, alpha, rng)
+    cumulative = _np.array(cumulative)
+    lines = _np.array(perm, dtype=_np.int64) + base
+    draw = _numpy_rng(rng).random_sample
+    lambd = 1.0 / mean_gap if mean_gap > 0 else None
+
+    def next_chunk(pairs: int) -> array:
+        if lambd is None:
+            ranks = cumulative.searchsorted(draw(pairs) * total)
+            return _interleave(0, lines[ranks])
+        draws = draw(2 * pairs)
+        ranks = cumulative.searchsorted(draws[0::2] * total)
+        return _interleave(_gaps(draws[1::2], lambd), lines[ranks])
+
+    return next_chunk
+
+
+def _loop_columns(ws_lines: int, mean_gap: float, base: int, seed: int):
+    """``take(n) -> (gaps, addrs)``: the next ``n`` pairs of
+    ``loop_stream`` as two columns (``gaps`` is 0 without a mean gap)."""
+    draw = _numpy_rng(random.Random(seed)).random_sample
+    lambd = 1.0 / mean_gap if mean_gap > 0 else None
+    index = 0
+
+    def take(count: int):
+        nonlocal index
+        addrs = (index + _np.arange(count, dtype=_np.int64)) % ws_lines + base
+        index = (index + count) % ws_lines
+        return (0 if lambd is None else _gaps(draw(count), lambd)), addrs
+
+    return take
+
+
+def loop_compiler(
+    ws_lines: int,
+    mean_gap: float,
+    base: int,
+    seed: int,
+) -> ChunkCompiler | None:
+    """``loop_stream`` a chunk at a time."""
+    if _np is None or ws_lines <= 0:
+        return None
+    take = _loop_columns(ws_lines, mean_gap, base, seed)
+    return lambda pairs: _interleave(*take(pairs))
+
+
+def scan_compiler(
+    region_lines: int,
+    mean_gap: float,
+    base: int,
+    seed: int,
+) -> ChunkCompiler | None:
+    """``scan_stream`` a chunk at a time."""
+    return loop_compiler(region_lines, mean_gap, base, seed)
+
+
+def phased_loop_compiler(
+    ws_lines: int,
+    ws2_lines: int,
+    mean_gap: float,
+    phase_accesses: int,
+    base: int,
+    seed: int,
+) -> ChunkCompiler | None:
+    """``phased_stream`` over two ``loop_stream`` phases, a chunk at a
+    time: each position's phase is ``(position // phase_accesses) % 2``,
+    and each phase's loop supplies as many pairs as the chunk holds of
+    that phase."""
+    if _np is None or min(ws_lines, ws2_lines, phase_accesses) <= 0:
+        return None
+    take_a = _loop_columns(ws_lines, mean_gap, base, seed)
+    take_b = _loop_columns(ws2_lines, mean_gap, base + (1 << 30), seed + 1)
+    position = 0
+
+    def next_chunk(pairs: int) -> array:
+        nonlocal position
+        offsets = position + _np.arange(pairs, dtype=_np.int64)
+        in_b = (offsets // phase_accesses) % 2 == 1
+        in_a = ~in_b
+        position += pairs
+        gaps = _np.empty(pairs, dtype=_np.int64)
+        addrs = _np.empty(pairs, dtype=_np.int64)
+        count_b = int(_np.count_nonzero(in_b))
+        gaps[in_a], addrs[in_a] = take_a(pairs - count_b)
+        gaps[in_b], addrs[in_b] = take_b(count_b)
+        return _interleave(gaps, addrs)
+
+    return next_chunk

@@ -141,3 +141,40 @@ def test_publish_phase_skipped_when_disabled(monkeypatch):
     ]
     assert publish_traces(jobs) == 0
     assert shm.get_pool().owned_names() == []
+
+
+def test_dropped_publishes_are_counted_and_logged(monkeypatch, capsys):
+    """A publish that raises is counted once per trace, logged to
+    stderr, and the sweep still completes on the private layers."""
+    from repro.harness import parallel
+    from repro.telemetry import StatGroup
+
+    def broken(self, spec, instructions, **kwargs):
+        raise OSError("no space left on device")
+
+    jobs = [
+        SimJob(make_mix("sftn", 1), scheme, small_system(), 2_000, seed=3)
+        for scheme in ("lru-sa16", "vantage-z4/52")
+    ]
+    monkeypatch.setenv("REPRO_TRACE_SHM", "0")
+    serial = run_jobs(jobs, workers=1, use_cache=False)
+
+    monkeypatch.setenv("REPRO_TRACE_SHM", "1")
+    shm.reset_pool()
+    store = traces.reset_store()
+    monkeypatch.setattr(traces.TraceStore, "publish_prefix", broken)
+    fanned = run_jobs(jobs, workers=2, use_cache=False)
+
+    assert [o.result for o in fanned] == [o.result for o in serial]
+    distinct = len({store.key_of(s) for s in jobs[0].mix.trace_factories(3)})
+    assert store.publish_errors == distinct == jobs[0].mix.num_cores
+    assert store.counters()["publish_errors"] == distinct
+    tree = StatGroup("harness")
+    parallel.register_stats(tree)
+    assert tree.snapshot()["trace_store"]["publish_errors"] == distinct
+    dropped = [
+        line for line in capsys.readouterr().err.splitlines()
+        if "trace publish dropped" in line
+    ]
+    assert len(dropped) == distinct
+    assert all("OSError: no space left on device" in line for line in dropped)

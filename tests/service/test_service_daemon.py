@@ -503,3 +503,33 @@ class TestVersionedPeers:
         fh.flush()
         assert json.loads(fh.readline())["op"] == "pong"
         sock.close()
+
+
+def test_daemon_counts_dropped_trace_publishes(svc_env, monkeypatch, capsys):
+    """The daemon's publish step counts and logs each trace it could
+    not publish instead of dropping the error silently."""
+    from repro import traces
+
+    def broken(self, spec, instructions, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(traces.TraceStore, "publish_prefix", broken)
+    store = traces.reset_store()
+    job = _job(seed=4)
+
+    async def scenario():
+        daemon = ExperimentDaemon(
+            ServiceConfig(socket_path=svc_env / "x.sock", tcp=None, workers=1)
+        )
+        daemon._publish_job_traces_sync(job)
+        return daemon.stats_tree().snapshot()
+
+    try:
+        tree = asyncio.run(scenario())
+    finally:
+        traces.reset_store()
+    cores = job.mix.num_cores
+    assert store.publish_errors == cores
+    assert tree["harness"]["trace_store"]["publish_errors"] == cores
+    err = capsys.readouterr().err
+    assert err.count("trace publish dropped") == cores

@@ -142,6 +142,35 @@ def test_key_covers_identity_and_generator_source():
     assert generator_fingerprint("zipf") != generator_fingerprint("loop")
 
 
+@pytest.mark.parametrize(
+    "kind, compiler",
+    [
+        ("zipf", "zipf_compiler"),
+        ("loop", "loop_compiler"),
+        ("scan", "scan_compiler"),
+        ("phased-loop", "phased_loop_compiler"),
+    ],
+)
+def test_fingerprint_covers_chunk_compiler(kind, compiler, monkeypatch):
+    """Editing a kind's compiler changes its fingerprint (so on-disk
+    chunks it produced are invalidated), exactly as editing its
+    generator does; other kinds' fingerprints stay put."""
+    from repro.traces import spec as spec_mod
+    from repro.workloads import generators
+
+    assert getattr(generators, compiler) in spec_mod._kind_sources(kind)
+    other = "zipf" if kind != "zipf" else "loop"
+    before = generator_fingerprint(kind), generator_fingerprint(other)
+
+    def edited(*args):  # stands in for an edited compiler's source
+        return None
+
+    monkeypatch.setattr(generators, compiler, edited)
+    monkeypatch.setattr(spec_mod, "_fingerprint_cache", {})
+    assert generator_fingerprint(kind) != before[0]
+    assert generator_fingerprint(other) == before[1]
+
+
 def test_disk_layer_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     spec = APPS["lbm"].trace_spec(base=0, seed=9)
