@@ -1,10 +1,11 @@
 """The federation gateway: one scheduler over N experiment daemons.
 
-A :class:`FederationGateway` speaks the same v1 JSON-lines protocol
-as :class:`~repro.service.server.ExperimentDaemon` -- every existing
-client op (``submit`` / ``submit_batch`` / ``status`` / ``watch`` /
-``cancel`` / ``stats`` / ``ping`` / ``shutdown``) works against a
-gateway unchanged -- but instead of running workers it *routes*:
+A :class:`FederationGateway` is the second backend of
+:class:`~repro.service.frontend.ProtocolServer`, beside
+:class:`~repro.service.server.ExperimentDaemon`, so every client op
+(``submit`` / ``submit_batch`` / ``status`` / ``watch`` / ``cancel`` /
+``stats`` / ``ping`` / ``shutdown``) works against a gateway
+unchanged -- but instead of running workers it *routes*:
 
 - **placement**: jobs are consistent-hash routed by their content key
   (:func:`~repro.harness.results_cache.job_key`) through the
@@ -38,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import signal
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,7 @@ from repro.federation.ring import ALIVE, DEAD, Membership, NodeInfo
 from repro.harness import results_cache
 from repro.harness.parallel import SimJob
 from repro.service import protocol
+from repro.service.frontend import Admission, ProtocolServer, number
 from repro.telemetry import StatGroup
 
 
@@ -142,13 +144,15 @@ class FedEntry:
         }
 
 
-class FederationGateway:
+class FederationGateway(ProtocolServer):
     """Scheduler/router fronting a fleet of experiment daemons."""
+
+    role = "gateway"
 
     def __init__(self, config: GatewayConfig):
         if not config.nodes:
             raise ValueError("a gateway needs at least one --node")
-        self.config = config
+        super().__init__(config)
         nodes = [
             NodeInfo(name=f"node{i}", addr=parse_node(spec))
             for i, spec in enumerate(config.nodes)
@@ -160,18 +164,12 @@ class FederationGateway:
             node.name: asyncio.Semaphore(config.per_node_inflight)
             for node in nodes
         }
-        self.started_at = time.monotonic()
-        self._servers: list[asyncio.base_events.Server] = []
-        self._shutdown = asyncio.Event()
         self._health_task: asyncio.Task | None = None
         self._entry_tasks: set[asyncio.Task] = set()
         self._entries: dict[int, FedEntry] = {}
         self._active: dict[str, FedEntry] = {}
         self._next_id = 1
         # Telemetry counters (pulled by the federation stats group).
-        self.connections_total = 0
-        self.connections_open = 0
-        self.protocol_errors = 0
         self.routed = 0
         self.dedupe_hits = 0
         self.cache_hits = 0
@@ -179,8 +177,7 @@ class FederationGateway:
         self.completed = 0
         self.failed = 0
         self.cancelled = 0
-        self.batches = 0
-        self.batch_jobs = 0
+        self.bad_outcomes = 0
         self.health_probes = 0
 
     # -- telemetry ------------------------------------------------------
@@ -198,6 +195,7 @@ class FederationGateway:
         group.stat("completed", lambda: self.completed, "federated jobs finished successfully")
         group.stat("failed", lambda: self.failed, "federated jobs that exhausted failover or raised")
         group.stat("cancelled", lambda: self.cancelled, "federated jobs cancelled before forwarding")
+        group.stat("bad_outcomes", lambda: self.bad_outcomes, "jobs failed because their node answered an unpackable outcome")
         group.stat("batches", lambda: self.batches, "submit_batch requests accepted")
         group.stat("batch_jobs", lambda: self.batch_jobs, "job slots carried by submit_batch requests")
         group.stat("health_probes", lambda: self.health_probes, "node health probes performed")
@@ -224,10 +222,10 @@ class FederationGateway:
         )
         return root
 
-    def _summary(self) -> dict:
+    def summary(self) -> dict:
         return {
             "op": "status",
-            "role": "gateway",
+            "role": self.role,
             "uptime_s": time.monotonic() - self.started_at,
             "nodes": self.membership.rows(),
             "routed": self.routed,
@@ -253,19 +251,31 @@ class FederationGateway:
         self._active.pop(entry.key, None)
         self._notify(entry)
 
-    def _finish_done(self, entry: FedEntry, packed_outcome: str) -> None:
+    def _finish_done(
+        self, entry: FedEntry, packed_outcome: str, node: NodeInfo
+    ) -> None:
+        try:
+            outcome = protocol.unpack(packed_outcome)
+        except protocol.ProtocolError as exc:
+            # Garbage is never cached or passed on: the job fails.
+            self.bad_outcomes += 1
+            message = (
+                f"{node.name} ({node.addr_text()}) answered an "
+                f"unpackable outcome: {exc}"
+            )
+            print(
+                f"repro gateway: job {entry.id} failed: {message}",
+                file=sys.stderr,
+            )
+            self._finish_failed(entry, message)
+            return
         entry.outcome_packed = packed_outcome
         self.completed += 1
         self._finish(entry, protocol.DONE)
         if not entry.future.done():
             entry.future.set_result(packed_outcome)
         if self.config.use_cache:
-            try:
-                results_cache.store(
-                    entry.key, protocol.unpack(packed_outcome)
-                )
-            except protocol.ProtocolError:
-                pass  # a node answered garbage; the client still sees it
+            results_cache.store(entry.key, outcome)
 
     def _finish_failed(self, entry: FedEntry, message: str) -> None:
         entry.error = message
@@ -285,34 +295,20 @@ class FederationGateway:
                 if len(self._entries) <= self.config.history:
                     return
 
-    def _admit(self, job: SimJob, packed: str, priority: int):
-        """Cache-check, coalesce or enqueue one job; returns
-        ``(ticket, entry, packed_cached_outcome)``."""
+    async def admit(self, job: SimJob, packed: str, priority: int) -> Admission:
+        """Results cache, then coalescing onto an active job, then a
+        new entry routed through the ring."""
         key = results_cache.job_key(job)
         if self.config.use_cache:
             cached = results_cache.load(key)
             if cached is not None:
                 self.cache_hits += 1
-                ticket = {
-                    "id": 0,
-                    "key": key,
-                    "state": protocol.DONE,
-                    "deduped": False,
-                    "cached": True,
-                }
-                return ticket, None, protocol.pack(cached)
+                return Admission(key=key, cached=protocol.pack(cached))
         active = self._active.get(key)
         if active is not None:
             self.dedupe_hits += 1
             active.refs += 1
-            ticket = {
-                "id": active.id,
-                "key": key,
-                "state": active.state,
-                "deduped": True,
-                "cached": False,
-            }
-            return ticket, active, None
+            return Admission(entry=active, deduped=True)
         entry = FedEntry(
             id=self._next_id, key=key, job=job, packed=packed,
             priority=priority,
@@ -324,14 +320,7 @@ class FederationGateway:
         self._entry_tasks.add(task)
         task.add_done_callback(self._entry_tasks.discard)
         self._prune_history()
-        ticket = {
-            "id": entry.id,
-            "key": key,
-            "state": entry.state,
-            "deduped": False,
-            "cached": False,
-        }
-        return ticket, entry, None
+        return Admission(entry=entry)
 
     # -- routing and forwarding -----------------------------------------
 
@@ -371,7 +360,7 @@ class FederationGateway:
                 except asyncio.CancelledError:
                     raise
                 else:
-                    self._finish_done(entry, packed_outcome)
+                    self._finish_done(entry, packed_outcome, node)
                     return
                 finally:
                     node.in_flight -= 1
@@ -434,12 +423,12 @@ class FederationGateway:
                 raise NodeRejected(
                     f"{node.name} answered {result['op']!r}, expected result"
                 )
-            return result["outcome"]
+            return result.get("outcome")
         except (ConnectionResetError, BrokenPipeError) as exc:
             raise NodeUnavailable(f"{node.name} reset: {exc}") from None
         finally:
             writer.close()
-            with contextlib.suppress(Exception):
+            with contextlib.suppress(OSError):
                 await writer.wait_closed()
 
     async def _read_node_line(self, node: NodeInfo, reader) -> dict:
@@ -494,7 +483,7 @@ class FederationGateway:
             return
         finally:
             writer.close()
-            with contextlib.suppress(Exception):
+            with contextlib.suppress(OSError):
                 await writer.wait_closed()
         self.membership.mark_alive(
             node.name,
@@ -505,177 +494,29 @@ class FederationGateway:
             },
         )
 
+    async def _probe_all(self) -> None:
+        await asyncio.gather(
+            *(self._probe(n) for n in self.membership.nodes()),
+            return_exceptions=True,
+        )
+
     async def _health_loop(self) -> None:
+        # Sleep first: start-up has just probed, and a second failure
+        # at once would mark a node that is still coming up dead.
         while True:
-            await asyncio.gather(
-                *(self._probe(n) for n in self.membership.nodes()),
-                return_exceptions=True,
-            )
             await asyncio.sleep(self.config.health_interval)
+            await self._probe_all()
 
-    # -- request handlers -----------------------------------------------
+    # -- backend ----------------------------------------------------------
 
-    async def _reply(self, writer: asyncio.StreamWriter, msg: dict) -> None:
-        writer.write(protocol.encode(msg))
-        await writer.drain()
-
-    async def _handle_submit(self, msg: dict, writer) -> None:
-        packed = msg.get("job")
-        job = None
-        if isinstance(packed, str):
-            try:
-                job = protocol.unpack(packed)
-            except protocol.ProtocolError:
-                job = None
-        if not isinstance(job, SimJob):
-            await self._reply(
-                writer, protocol.error("submit carries no SimJob payload")
-            )
-            return
-        wait = bool(msg.get("wait", True))
-        priority = int(msg.get("priority", 0))
-        ticket, entry, cached_packed = self._admit(job, packed, priority)
-        await self._reply(writer, {"op": "submitted", **ticket})
-        if not wait:
-            return
-        if cached_packed is not None:
-            await self._reply(
-                writer, {"op": "result", "id": 0, "outcome": cached_packed}
-            )
-            return
-        try:
-            packed_outcome = await asyncio.shield(entry.future)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            await self._reply(
-                writer,
-                protocol.error(str(exc), id=entry.id, state=entry.state),
-            )
-            return
-        await self._reply(
-            writer,
-            {"op": "result", "id": entry.id, "outcome": packed_outcome},
-        )
-
-    async def _handle_submit_batch(self, msg: dict, writer) -> None:
-        packed_jobs = msg.get("jobs")
-        if not isinstance(packed_jobs, list) or not packed_jobs:
-            await self._reply(
-                writer, protocol.error("submit_batch carries no job list")
-            )
-            return
-        jobs = []
-        for i, blob in enumerate(packed_jobs):
-            try:
-                job = protocol.unpack(blob)
-            except protocol.ProtocolError:
-                job = None
-            if not isinstance(job, SimJob):
-                await self._reply(
-                    writer,
-                    protocol.error(f"submit_batch slot {i} is not a SimJob"),
-                )
-                return
-            jobs.append(job)
-        wait = bool(msg.get("wait", True))
-        priority = int(msg.get("priority", 0))
-        self.batches += 1
-        self.batch_jobs += len(jobs)
-        ids, cached_flags, deduped_flags = [], [], []
-        ready: dict[int, str] = {}
-        entries: dict[int, FedEntry] = {}
-        for i, (job, blob) in enumerate(zip(jobs, packed_jobs)):
-            ticket, entry, cached_packed = self._admit(job, blob, priority)
-            ids.append(ticket["id"])
-            cached_flags.append(ticket["cached"])
-            deduped_flags.append(ticket["deduped"])
-            if cached_packed is not None:
-                ready[i] = cached_packed
-            else:
-                entries[i] = entry
-        await self._reply(
-            writer,
-            {
-                "op": "batch_submitted",
-                "count": len(jobs),
-                "ids": ids,
-                "cached": cached_flags,
-                "deduped": deduped_flags,
-            },
-        )
-        if not wait:
-            return
-        completed = failed = 0
-        for i in sorted(ready):
-            completed += 1
-            await self._reply(
-                writer,
-                {"op": "result", "index": i, "id": ids[i], "outcome": ready[i]},
-            )
-        shields = {i: asyncio.shield(e.future) for i, e in entries.items()}
-        remaining = dict(entries)
-        while remaining:
-            await asyncio.wait(
-                set(shields[i] for i in remaining),
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            for i in [i for i, e in remaining.items() if e.future.done()]:
-                entry = remaining.pop(i)
-                try:
-                    packed_outcome = entry.future.result()
-                except Exception as exc:
-                    failed += 1
-                    await self._reply(
-                        writer,
-                        {
-                            "op": "result",
-                            "index": i,
-                            "id": entry.id,
-                            "error": str(exc),
-                        },
-                    )
-                else:
-                    completed += 1
-                    await self._reply(
-                        writer,
-                        {
-                            "op": "result",
-                            "index": i,
-                            "id": entry.id,
-                            "outcome": packed_outcome,
-                        },
-                    )
-        await self._reply(
-            writer,
-            {"op": "batch_done", "completed": completed, "failed": failed},
-        )
-
-    async def _handle_watch(self, msg: dict, writer) -> None:
-        if "id" not in msg:
-            await self._handle_watch_federation(msg, writer)
-            return
-        entry = self._entries.get(int(msg.get("id", -1)))
-        if entry is None:
-            await self._reply(writer, protocol.error("unknown_job"))
-            return
-        events: asyncio.Queue = asyncio.Queue()
-        entry.watchers.append(events)
-        try:
-            event = entry.describe()
-            await self._reply(writer, {"op": "event", **event})
-            while event["state"] not in protocol.TERMINAL_STATES:
-                event = await events.get()
-                await self._reply(writer, {"op": "event", **event})
-        finally:
-            entry.watchers.remove(events)
-
-    async def _handle_watch_federation(self, msg: dict, writer) -> None:
+    async def watch_all(self, msg: dict, writer) -> None:
         """``watch`` without an id: stream periodic federation stats
         snapshots (``count`` bounds them; ``interval`` seconds apart)."""
         count = msg.get("count")
-        count = None if count is None else max(1, int(count))
-        interval = float(msg.get("interval", self.config.health_interval))
+        count = None if count is None else max(1, number(msg, "count", None))
+        interval = number(
+            msg, "interval", self.config.health_interval, cast=float
+        )
         sent = 0
         while count is None or sent < count:
             await self._reply(
@@ -691,7 +532,14 @@ class FederationGateway:
                 return
             await asyncio.sleep(max(0.05, interval))
 
-    def _cancel_entry(self, entry_id: int) -> FedEntry:
+    def lookup(self, entry_id: int) -> FedEntry | None:
+        return self._entries.get(entry_id)
+
+    @staticmethod
+    def pack_outcome(packed_outcome: str) -> str:
+        return packed_outcome  # nodes answer packed; pass it through
+
+    def cancel(self, entry_id: int) -> FedEntry:
         entry = self._entries.get(entry_id)
         if entry is None:
             raise KeyError(entry_id)
@@ -707,131 +555,16 @@ class FederationGateway:
         entry.future.exception()
         return entry
 
-    async def _handle_one(self, msg: dict, writer) -> bool:
-        op = msg["op"]
-        if op == "submit":
-            await self._handle_submit(msg, writer)
-        elif op == "submit_batch":
-            await self._handle_submit_batch(msg, writer)
-        elif op == "status":
-            if "id" in msg:
-                entry = self._entries.get(int(msg["id"]))
-                if entry is None:
-                    await self._reply(writer, protocol.error("unknown_job"))
-                else:
-                    await self._reply(
-                        writer, {"op": "status", **entry.describe()}
-                    )
-            else:
-                await self._reply(writer, self._summary())
-        elif op == "watch":
-            await self._handle_watch(msg, writer)
-        elif op == "cancel":
-            try:
-                entry = self._cancel_entry(int(msg.get("id", -1)))
-            except KeyError:
-                await self._reply(writer, protocol.error("unknown_job"))
-            except ValueError as exc:
-                await self._reply(writer, protocol.error(str(exc)))
-            else:
-                await self._reply(writer, {"op": "ok", "id": entry.id})
-        elif op == "stats":
-            await self._reply(
-                writer, {"op": "stats", "tree": self.stats_tree().snapshot()}
-            )
-        elif op == "ping":
-            await self._reply(writer, {"op": "pong", "role": "gateway"})
-        elif op == "shutdown":
-            await self._reply(writer, {"op": "ok"})
-            self.request_shutdown()
-            return False
-        else:
-            self.protocol_errors += 1
-            await self._reply(writer, protocol.error(f"unknown op {op!r}"))
-        return True
-
-    async def _handle_client(self, reader, writer) -> None:
-        self.connections_total += 1
-        self.connections_open += 1
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._reply(
-                        writer, protocol.error("line exceeds the protocol cap")
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    msg = protocol.decode(line)
-                except protocol.VersionMismatch as exc:
-                    self.protocol_errors += 1
-                    await self._reply(
-                        writer,
-                        protocol.error(
-                            str(exc),
-                            code="version_mismatch",
-                            client_version=exc.peer_version,
-                            server_version=exc.our_version,
-                        ),
-                    )
-                    continue
-                except protocol.ProtocolError as exc:
-                    self.protocol_errors += 1
-                    await self._reply(writer, protocol.error(str(exc)))
-                    continue
-                if not await self._handle_one(msg, writer):
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.connections_open -= 1
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
     # -- lifecycle ------------------------------------------------------
 
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def start(self) -> None:
-        """Bind sockets, start the health loop (no blocking wait)."""
-        path = self.config.socket_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            path.unlink()
-        self._servers.append(
-            await asyncio.start_unix_server(
-                self._handle_client, path=str(path),
-                limit=protocol.MAX_LINE_BYTES,
-            )
-        )
-        if self.config.tcp is not None:
-            host, port = self.config.tcp
-            self._servers.append(
-                await asyncio.start_server(
-                    self._handle_client, host=host, port=port,
-                    limit=protocol.MAX_LINE_BYTES,
-                )
-            )
-        await asyncio.gather(
-            *(self._probe(n) for n in self.membership.nodes()),
-            return_exceptions=True,
-        )
+    async def on_start(self) -> None:
+        """Probe every node once, then start the health loop."""
+        await self._probe_all()
         self._health_task = asyncio.create_task(
             self._health_loop(), name="federation-health"
         )
 
-    async def stop(self) -> None:
-        for server in self._servers:
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
+    async def on_stop(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -842,21 +575,6 @@ class FederationGateway:
         await asyncio.gather(*self._entry_tasks, return_exceptions=True)
         for entry in list(self._active.values()):
             self._finish_failed(entry, "gateway shutting down")
-        with contextlib.suppress(OSError):
-            self.config.socket_path.unlink()
-
-    async def serve(self, install_signals: bool = True) -> None:
-        """Run until ``shutdown`` (op, SIGTERM or SIGINT)."""
-        await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    loop.add_signal_handler(signum, self.request_shutdown)
-        try:
-            await self._shutdown.wait()
-        finally:
-            await self.stop()
 
 
 def serve_gateway(config: GatewayConfig) -> None:

@@ -1,14 +1,13 @@
-"""The experiment daemon: an asyncio JSON-lines server.
+"""The experiment daemon: a local worker-pool backend for the v1 protocol.
 
 One :class:`ExperimentDaemon` owns the
-:class:`~repro.service.jobqueue.JobQueue`, the supervised
-:class:`~repro.service.workers.WorkerPool` and the listening sockets
-(a Unix socket always; a TCP endpoint too when ``REPRO_SERVICE_ADDR``
-or ``ServiceConfig.tcp`` names one).  Each client connection is an
-independent coroutine speaking :mod:`repro.service.protocol`; a
-protocol error on one line is answered with an ``error`` line and the
-connection keeps serving, so one confused client cannot take the
-daemon down.
+:class:`~repro.service.jobqueue.JobQueue` and the supervised
+:class:`~repro.service.workers.WorkerPool`.  Sockets, connections and
+request dispatch belong to
+:class:`~repro.service.frontend.ProtocolServer`, which it extends with
+admission, lookup, cancel, summary and stats (a Unix socket always; a
+TCP endpoint too when ``REPRO_SERVICE_ADDR`` or ``ServiceConfig.tcp``
+names one).
 
 Results flow: ``submit`` first consults the on-disk results cache
 (the same :func:`~repro.harness.results_cache.job_key` contract as
@@ -28,9 +27,6 @@ it in the exact shape ``repro run-mix --stats-json`` writes.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import os
-import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +35,7 @@ from repro import traces
 from repro.harness import results_cache
 from repro.harness.parallel import SimJob, default_workers
 from repro.service import protocol
+from repro.service.frontend import Admission, ProtocolServer, Refused
 from repro.service.jobqueue import JobQueue, QueueClosed, QueueFull
 from repro.service.workers import WorkerPool
 from repro.telemetry import StatGroup
@@ -57,11 +54,11 @@ class ServiceConfig:
     use_cache: bool = True
 
 
-class ExperimentDaemon:
-    """Resident multi-client front-end over the simulation harness."""
+class ExperimentDaemon(ProtocolServer):
+    """Resident multi-client service over the simulation harness."""
 
     def __init__(self, config: ServiceConfig | None = None):
-        self.config = config or ServiceConfig()
+        super().__init__(config or ServiceConfig())
         self.queue = JobQueue(maxsize=self.config.queue_size)
         self.pool = WorkerPool(
             self.queue,
@@ -70,9 +67,6 @@ class ExperimentDaemon:
             max_retries=self.config.max_retries,
             use_cache=self.config.use_cache,
         )
-        self.started_at = time.monotonic()
-        self._servers: list[asyncio.base_events.Server] = []
-        self._shutdown = asyncio.Event()
         # Shared-memory trace fabric (REPRO_TRACE_SHM): the daemon is
         # the publishing owner; resident workers only ever attach.
         # The lock serialises publish work (the store and segment pool
@@ -80,13 +74,7 @@ class ExperimentDaemon:
         # re-walking their chunk prefixes.
         self._publish_lock = asyncio.Lock()
         self._published_traces: dict[str, int] = {}
-        # Telemetry counters.
-        self.connections_total = 0
-        self.connections_open = 0
         self.cache_hits = 0
-        self.protocol_errors = 0
-        self.batches = 0
-        self.batch_jobs = 0
 
     # -- telemetry ------------------------------------------------------
 
@@ -130,9 +118,9 @@ class ExperimentDaemon:
         )
         return root
 
-    # -- request handlers -----------------------------------------------
+    # -- backend ----------------------------------------------------------
 
-    def _summary(self) -> dict:
+    def summary(self) -> dict:
         return {
             "op": "status",
             "uptime_s": time.monotonic() - self.started_at,
@@ -146,209 +134,33 @@ class ExperimentDaemon:
             "failed": self.queue.failed,
         }
 
-    async def _reply(self, writer: asyncio.StreamWriter, msg: dict) -> None:
-        writer.write(protocol.encode(msg))
-        await writer.drain()
-
-    async def _admit(self, job: SimJob, priority: int):
-        """Cache-check, trace-publish and enqueue one job.
-
-        Returns ``(ticket, entry, cached_outcome)``; exactly one of
-        ``entry`` / ``cached_outcome`` is set on success, both are
-        ``None`` when the ticket is an error dict instead.
-        """
+    async def admit(self, job: SimJob, packed: str, priority: int) -> Admission:
+        """Results cache, then trace publish, then the job queue."""
         if self.config.use_cache:
             key = results_cache.job_key(job)
             cached = results_cache.load(key)
             if cached is not None:
                 self.cache_hits += 1
-                ticket = {
-                    "id": 0,
-                    "key": key,
-                    "state": protocol.DONE,
-                    "deduped": False,
-                    "cached": True,
-                }
-                return ticket, None, cached
+                return Admission(key=key, cached=protocol.pack(cached))
         await self._publish_job_traces(job)
         try:
             entry, deduped = self.queue.submit(job, priority=priority)
         except QueueFull:
-            error = protocol.error(
+            raise Refused(protocol.error(
                 "queue_full", depth=self.queue.depth(),
                 maxsize=self.queue.maxsize,
-            )
-            return error, None, None
+            )) from None
         except QueueClosed:
-            return protocol.error("shutting_down"), None, None
-        ticket = {
-            "id": entry.id,
-            "key": entry.key,
-            "state": entry.state,
-            "deduped": deduped,
-            "cached": False,
-        }
-        return ticket, entry, None
+            raise Refused(protocol.error("shutting_down")) from None
+        return Admission(entry=entry, deduped=deduped)
 
-    async def _handle_submit(self, msg: dict, writer) -> None:
-        job = protocol.unpack(msg["job"]) if "job" in msg else None
-        if not isinstance(job, SimJob):
-            await self._reply(
-                writer, protocol.error("submit carries no SimJob payload")
-            )
-            return
-        wait = bool(msg.get("wait", True))
-        priority = int(msg.get("priority", 0))
-        ticket, entry, cached = await self._admit(job, priority)
-        if entry is None and cached is None:
-            await self._reply(writer, ticket)  # an error dict
-            return
-        await self._reply(writer, {"op": "submitted", **ticket})
-        if not wait:
-            return
-        if cached is not None:
-            await self._reply(
-                writer,
-                {"op": "result", "id": 0, "outcome": protocol.pack(cached)},
-            )
-            return
-        try:
-            outcome = await asyncio.shield(entry.future)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            await self._reply(
-                writer, protocol.error(str(exc), id=entry.id, state=entry.state)
-            )
-            return
-        await self._reply(
-            writer,
-            {
-                "op": "result",
-                "id": entry.id,
-                "outcome": protocol.pack(outcome),
-            },
-        )
+    def lookup(self, entry_id: int):
+        return self.queue.get(entry_id)
 
-    async def _handle_submit_batch(self, msg: dict, writer) -> None:
-        """One request, a whole sweep: admit every job, then stream
-        per-slot ``result`` lines as each finishes (cache hits first,
-        completion order after that -- ``index`` maps a line back to
-        its slot), ending with a ``batch_done`` summary."""
-        packed = msg.get("jobs")
-        if not isinstance(packed, list) or not packed:
-            await self._reply(
-                writer, protocol.error("submit_batch carries no job list")
-            )
-            return
-        jobs = []
-        for i, blob in enumerate(packed):
-            try:
-                job = protocol.unpack(blob)
-            except protocol.ProtocolError:
-                job = None
-            if not isinstance(job, SimJob):
-                await self._reply(
-                    writer,
-                    protocol.error(f"submit_batch slot {i} is not a SimJob"),
-                )
-                return
-            jobs.append(job)
-        wait = bool(msg.get("wait", True))
-        priority = int(msg.get("priority", 0))
-        self.batches += 1
-        self.batch_jobs += len(jobs)
-        ids: list[int] = []
-        cached_flags: list[bool] = []
-        deduped_flags: list[bool] = []
-        ready: dict[int, object] = {}
-        errors: dict[int, str] = {}
-        entries: dict[int, object] = {}
-        for i, job in enumerate(jobs):
-            ticket, entry, cached = await self._admit(job, priority)
-            if entry is None and cached is None:
-                errors[i] = ticket.get("error", "rejected")
-                ids.append(0)
-                cached_flags.append(False)
-                deduped_flags.append(False)
-                continue
-            ids.append(ticket["id"])
-            cached_flags.append(ticket["cached"])
-            deduped_flags.append(ticket["deduped"])
-            if cached is not None:
-                ready[i] = cached
-            else:
-                entries[i] = entry
-        await self._reply(
-            writer,
-            {
-                "op": "batch_submitted",
-                "count": len(jobs),
-                "ids": ids,
-                "cached": cached_flags,
-                "deduped": deduped_flags,
-            },
-        )
-        if not wait:
-            return
-        completed = failed = 0
-        for i in sorted(ready):
-            completed += 1
-            await self._reply(
-                writer,
-                {
-                    "op": "result",
-                    "index": i,
-                    "id": ids[i],
-                    "outcome": protocol.pack(ready[i]),
-                },
-            )
-        for i in sorted(errors):
-            failed += 1
-            await self._reply(
-                writer,
-                {"op": "result", "index": i, "id": 0, "error": errors[i]},
-            )
-        # Two batch slots holding identical jobs share one queue entry
-        # (and so one future); shield each slot separately so a closed
-        # connection never cancels the underlying simulation.
-        shields = {i: asyncio.shield(e.future) for i, e in entries.items()}
-        remaining = dict(entries)
-        while remaining:
-            await asyncio.wait(
-                set(shields[i] for i in remaining),
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            for i in [i for i, e in remaining.items() if e.future.done()]:
-                entry = remaining.pop(i)
-                try:
-                    outcome = entry.future.result()
-                except Exception as exc:
-                    failed += 1
-                    await self._reply(
-                        writer,
-                        {
-                            "op": "result",
-                            "index": i,
-                            "id": entry.id,
-                            "error": str(exc),
-                        },
-                    )
-                else:
-                    completed += 1
-                    await self._reply(
-                        writer,
-                        {
-                            "op": "result",
-                            "index": i,
-                            "id": entry.id,
-                            "outcome": protocol.pack(outcome),
-                        },
-                    )
-        await self._reply(
-            writer,
-            {"op": "batch_done", "completed": completed, "failed": failed},
-        )
+    def cancel(self, entry_id: int):
+        return self.queue.cancel(entry_id)
+
+    pack_outcome = staticmethod(protocol.pack)
 
     async def _publish_job_traces(self, job: SimJob) -> None:
         """Publish ``job``'s traces to the shared fabric before it can
@@ -388,148 +200,17 @@ class ExperimentDaemon:
                 self._published_traces.clear()
             self._published_traces[key] = job.instructions
 
-    async def _handle_watch(self, msg: dict, writer) -> None:
-        entry = self.queue.get(int(msg.get("id", -1)))
-        if entry is None:
-            await self._reply(writer, protocol.error("unknown_job"))
-            return
-        events: asyncio.Queue = asyncio.Queue()
-        entry.watchers.append(events)
-        try:
-            event = entry.describe()
-            await self._reply(writer, {"op": "event", **event})
-            while event["state"] not in protocol.TERMINAL_STATES:
-                event = await events.get()
-                await self._reply(writer, {"op": "event", **event})
-        finally:
-            entry.watchers.remove(events)
-
-    async def _handle_one(self, msg: dict, writer) -> bool:
-        """Dispatch one request; returns False to end the connection."""
-        op = msg["op"]
-        if op == "submit":
-            await self._handle_submit(msg, writer)
-        elif op == "submit_batch":
-            await self._handle_submit_batch(msg, writer)
-        elif op == "status":
-            if "id" in msg:
-                entry = self.queue.get(int(msg["id"]))
-                if entry is None:
-                    await self._reply(writer, protocol.error("unknown_job"))
-                else:
-                    await self._reply(
-                        writer, {"op": "status", **entry.describe()}
-                    )
-            else:
-                await self._reply(writer, self._summary())
-        elif op == "watch":
-            await self._handle_watch(msg, writer)
-        elif op == "cancel":
-            try:
-                entry = self.queue.cancel(int(msg.get("id", -1)))
-            except KeyError:
-                await self._reply(writer, protocol.error("unknown_job"))
-            except ValueError as exc:
-                await self._reply(writer, protocol.error(str(exc)))
-            else:
-                await self._reply(writer, {"op": "ok", "id": entry.id})
-        elif op == "stats":
-            await self._reply(
-                writer, {"op": "stats", "tree": self.stats_tree().snapshot()}
-            )
-        elif op == "ping":
-            await self._reply(writer, {"op": "pong"})
-        elif op == "shutdown":
-            await self._reply(writer, {"op": "ok"})
-            self.request_shutdown()
-            return False
-        else:
-            self.protocol_errors += 1
-            await self._reply(writer, protocol.error(f"unknown op {op!r}"))
-        return True
-
-    async def _handle_client(self, reader, writer) -> None:
-        self.connections_total += 1
-        self.connections_open += 1
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._reply(
-                        writer, protocol.error("line exceeds the protocol cap")
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    msg = protocol.decode(line)
-                except protocol.VersionMismatch as exc:
-                    # Structured: both versions, so whichever peer sees
-                    # the error knows exactly who needs upgrading.
-                    self.protocol_errors += 1
-                    await self._reply(
-                        writer,
-                        protocol.error(
-                            str(exc),
-                            code="version_mismatch",
-                            client_version=exc.peer_version,
-                            server_version=exc.our_version,
-                        ),
-                    )
-                    continue
-                except protocol.ProtocolError as exc:
-                    self.protocol_errors += 1
-                    await self._reply(writer, protocol.error(str(exc)))
-                    continue
-                if not await self._handle_one(msg, writer):
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.connections_open -= 1
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
     # -- lifecycle ------------------------------------------------------
 
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def start(self) -> None:
-        """Bind sockets and spawn the worker pool (no blocking wait)."""
+    async def on_start(self) -> None:
+        """Spawn the worker pool before the sockets are bound."""
         if traces.shm_enabled():
             # Reclaim segments orphaned by crashed runs before workers
             # fork; live publishers' segments are never touched.
             traces.SharedChunkPool.scavenge()
         await self.pool.start()
-        path = self.config.socket_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists():
-            path.unlink()
-        self._servers.append(
-            await asyncio.start_unix_server(
-                self._handle_client, path=str(path),
-                limit=protocol.MAX_LINE_BYTES,
-            )
-        )
-        if self.config.tcp is not None:
-            host, port = self.config.tcp
-            self._servers.append(
-                await asyncio.start_server(
-                    self._handle_client, host=host, port=port,
-                    limit=protocol.MAX_LINE_BYTES,
-                )
-            )
 
-    async def stop(self) -> None:
-        for server in self._servers:
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
+    async def on_stop(self) -> None:
         await self.pool.stop()
         if traces.shm_enabled() or self._published_traces:
             # Workers are gone; release the fabric.  Unlinks every
@@ -540,21 +221,6 @@ class ExperimentDaemon:
             # flag was flipped off while the daemon ran.
             traces.get_pool().close(unlink=True)
             self._published_traces.clear()
-        with contextlib.suppress(OSError):
-            self.config.socket_path.unlink()
-
-    async def serve(self, install_signals: bool = True) -> None:
-        """Run until ``shutdown`` (op, SIGTERM or SIGINT)."""
-        await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    loop.add_signal_handler(signum, self.request_shutdown)
-        try:
-            await self._shutdown.wait()
-        finally:
-            await self.stop()
 
 
 def serve(config: ServiceConfig | None = None) -> None:

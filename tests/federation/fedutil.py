@@ -68,9 +68,12 @@ def serial_results(jobs):
 class DaemonProc:
     """One experiment daemon as a real subprocess on loopback TCP."""
 
-    def __init__(self, tmp_path: Path, name: str, workers: int = 1):
+    def __init__(
+        self, tmp_path: Path, name: str, workers: int = 1,
+        port: int | None = None,
+    ):
         self.name = name
-        self.port = free_port()
+        self.port = port or free_port()
         self.addr = f"127.0.0.1:{self.port}"
         self.socket_path = tmp_path / f"{name}.sock"
         env = dict(os.environ)
