@@ -266,7 +266,6 @@ def _vantage_batch(cache, ctx, rrpv):
         free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
         collect, l1_hits, num_cores, target, bufs, positions, limits,
         instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
     ) = scheduler_cells(ctx)
     heappush = _heapq.heappush
     heappop = _heapq.heappop
@@ -335,11 +334,6 @@ def _vantage_batch(cache, ctx, rrpv):
                 head = heap[0]
                 second = head[0]
                 scid = head[1]
-            if not batched[cid]:
-                if heap is not None:
-                    heappush(heap, (now, cid))
-                reason = 4
-                break
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]

@@ -16,10 +16,8 @@ and their :class:`~repro.sim.system.SystemResult`s are asserted
 changes, so any divergence fails the bench run loudly.
 
 :func:`bench_trace_pipeline` additionally pins the batched trace
-pipeline (see :mod:`repro.traces`): the full headline kernel with the
-chunk cursor versus the generator feed, and the trace path alone
-(generator production versus warm chunk replay), again with equality
-asserted on both.
+pipeline (see :mod:`repro.traces`): the trace path alone (generator
+production versus warm chunk replay), again with equality asserted.
 
 The run also measures the telemetry overhead on the headline kernel
 (stats collection on vs off) and fails if it exceeds
@@ -111,7 +109,6 @@ def _run_once(
     partitioned: bool,
     instructions: int,
     reference: bool,
-    use_chunks: bool | None = None,
     use_batch: bool | None = None,
     use_fastfwd: bool | None = False,
 ):
@@ -119,9 +116,7 @@ def _run_once(
 
     Returns ``(elapsed, result, tree, policy)``; ``tree`` is the run's
     stats tree for optimized runs and ``None`` for reference runs (the
-    reference wrappers predate the telemetry spine).  ``use_chunks``
-    pins the optimized loop's trace feed (chunk cursor vs generator);
-    reference runs always use the generator feed.  ``use_fastfwd``
+    reference wrappers predate the telemetry spine).  ``use_fastfwd``
     defaults to *pinned off* (not the environment): every classic
     bench section asserts bitwise equality between kernel paths, which
     a stray ``REPRO_FASTFWD=1`` would silently break; only
@@ -140,7 +135,6 @@ def _run_once(
         mix.trace_factories(SEED),
         config,
         policy=policy,
-        use_chunks=use_chunks,
         use_batch=use_batch,
         use_fastfwd=use_fastfwd,
     )
@@ -217,19 +211,15 @@ FEED_PAIRS = 50_000
 
 
 def bench_trace_pipeline(instructions: int, rounds: int) -> dict:
-    """The trace pipeline's two speedups on the pinned kernel.
-
-    ``kernel``: the full pinned simulation with the chunk cursor
-    (store warm, the sweep steady state) against the same optimized
-    loop fed by per-event generator calls -- both must produce *equal*
-    results.  This number is bounded by the trace feed's share of the
-    kernel (~25% after PR 1's miss-path work), so it is modest.
+    """The trace pipeline's speedup on the pinned mix.
 
     ``feed``: trace production/consumption alone -- pulling
     ``FEED_PAIRS`` pairs per core of the pinned mix through fresh
     generators versus walking warm chunk buffers.  This is the
     trace-path speedup the chunk store delivers to every job in a
-    sweep after the first.
+    sweep after the first.  ``store`` snapshots the store's counters
+    after a warm-up run of the pinned kernel (sweeps compile each
+    mix's chunks once).
     """
     from repro import traces
 
@@ -237,21 +227,7 @@ def bench_trace_pipeline(instructions: int, rounds: int) -> dict:
     store = traces.get_store()
 
     # Warm the store (untimed): sweeps compile each mix's chunks once.
-    _run_once(scheme, partitioned, instructions, False, use_chunks=True)
-
-    chunk_best = gen_best = None
-    chunk_result = gen_result = None
-    for _ in range(rounds):
-        elapsed, chunk_result, _, _ = _run_once(
-            scheme, partitioned, instructions, False, use_chunks=True
-        )
-        if chunk_best is None or elapsed < chunk_best:
-            chunk_best = elapsed
-        elapsed, gen_result, _, _ = _run_once(
-            scheme, partitioned, instructions, False, use_chunks=False
-        )
-        if gen_best is None or elapsed < gen_best:
-            gen_best = elapsed
+    _run_once(scheme, partitioned, instructions, False)
 
     mix = make_mix(MIX_CLASS, MIX_INDEX)
     specs = [
@@ -304,12 +280,6 @@ def bench_trace_pipeline(instructions: int, rounds: int) -> dict:
         "scheme": scheme,
         "instructions": instructions,
         "rounds": rounds,
-        "kernel": {
-            "generator_s": round(gen_best, 4),
-            "chunk_s": round(chunk_best, 4),
-            "speedup": round(gen_best / chunk_best, 3) if chunk_best else 0.0,
-            "identical": chunk_result == gen_result,
-        },
         "feed": {
             "pairs_per_core": FEED_PAIRS,
             "generator_s": round(feed_gen_best, 4),
@@ -458,79 +428,6 @@ def bench_fastfwd(instructions: int, rounds: int) -> dict:
         "worst_miss_rate_delta": round(worst_miss, 5),
         "final_alloc_delta": round(alloc_delta, 5),
     }
-
-
-def _run_lane(instructions: int, numpy_on: bool):
-    """One single-core sa-LRU run on the requested batch lane.
-
-    The vectorized kernels only engage on single-core systems, so the
-    lane micro-kernel runs the pinned mix's first app alone against
-    ``lru-sa16``.  Returns ``(elapsed, result, batch_kind)``.
-    """
-    config = small_system(num_cores=1)
-    mix = make_mix(MIX_CLASS, MIX_INDEX)
-    cache = build_cache("lru-sa16", config.l2_lines, 1, seed=SEED)
-    factories = [mix.apps[0].trace_factory(base=0, seed=SEED * 1000)]
-    prev = os.environ.get("REPRO_NUMPY")
-    os.environ["REPRO_NUMPY"] = "1" if numpy_on else "0"
-    try:
-        system = CMPSystem(cache, factories, config, use_fastfwd=False)
-        start = time.perf_counter()
-        result = system.run(instructions)
-        elapsed = time.perf_counter() - start
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_NUMPY", None)
-        else:
-            os.environ["REPRO_NUMPY"] = prev
-    return elapsed, result, system.batch_kind
-
-
-def bench_lanes(instructions: int, rounds: int) -> dict:
-    """Pure-python vs vectorized (``REPRO_NUMPY=1``) batch lanes.
-
-    Both lanes are timed separately on the single-core sa-LRU lane
-    kernel and recorded side by side; when numpy is unavailable the
-    vectorized entry is ``None`` and only the pure-python lane runs.
-    Results must be *equal* whenever both lanes ran.
-    """
-    try:
-        import numpy  # noqa: F401
-
-        numpy_available = True
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        numpy_available = False
-
-    python_best = numpy_best = None
-    python_result = numpy_result = None
-    python_kind = numpy_kind = None
-    for _ in range(rounds):
-        elapsed, python_result, python_kind = _run_lane(instructions, False)
-        if python_best is None or elapsed < python_best:
-            python_best = elapsed
-        if numpy_available:
-            elapsed, numpy_result, numpy_kind = _run_lane(instructions, True)
-            if numpy_best is None or elapsed < numpy_best:
-                numpy_best = elapsed
-    report = {
-        "scheme": "lru-sa16 (1 core)",
-        "instructions": instructions,
-        "rounds": rounds,
-        "numpy_available": numpy_available,
-        "pure_python": {
-            "elapsed_s": round(python_best, 4),
-            "batch_kind": python_kind,
-        },
-        "numpy": None,
-        "identical": True,
-    }
-    if numpy_available:
-        report["numpy"] = {
-            "elapsed_s": round(numpy_best, 4),
-            "batch_kind": numpy_kind,
-        }
-        report["identical"] = python_result == numpy_result
-    return report
 
 
 def compare_reports(
@@ -803,7 +700,6 @@ def run_bench(
     trace = bench_trace_pipeline(instructions, rounds)
     batch = bench_batch(instructions, rounds)
     fastfwd = bench_fastfwd(instructions, rounds)
-    lanes = bench_lanes(instructions, rounds)
     stats_overhead = bench_stats_overhead(instructions, rounds)
     budget = SMOKE_STATS_OVERHEAD_BUDGET if smoke else STATS_OVERHEAD_BUDGET
     report = {
@@ -812,7 +708,6 @@ def run_bench(
         "fused": fused_default(),
         "batch": batch,
         "batch_default": batch_default(),
-        "lanes": lanes,
         "pinned": {
             "mix": f"{MIX_CLASS}{MIX_INDEX}",
             "system": "small (2MB L2, 4 cores)",
@@ -837,14 +732,12 @@ def run_bench(
             f"{row['optimized_s']:>9.3f}s {row['speedup']:>7.2f}x "
             f"{peaks:>18s} {str(row['identical']):>10s}"
         )
-    kernel_part = trace["kernel"]
     feed_part = trace["feed"]
     print(
-        f"trace pipeline on {trace['scheme']}: kernel "
-        f"{kernel_part['speedup']:.2f}x (chunk {kernel_part['chunk_s']:.3f}s / "
-        f"generator {kernel_part['generator_s']:.3f}s), feed "
+        f"trace pipeline on {trace['scheme']}: feed "
         f"{feed_part['speedup']:.2f}x over {feed_part['pairs_per_core']} "
-        f"pairs/core"
+        f"pairs/core (chunk {feed_part['chunk_s']:.3f}s / "
+        f"generator {feed_part['generator_s']:.3f}s)"
     )
     store = trace["store"]
     print(
@@ -874,21 +767,6 @@ def run_bench(
             f"fast-forward on {fastfwd['scheme']}: declined "
             f"({fastfwd['decline_reason']})"
         )
-    numpy_lane = lanes["numpy"]
-    if numpy_lane is not None:
-        print(
-            f"lanes on {lanes['scheme']}: pure-python "
-            f"{lanes['pure_python']['elapsed_s']:.3f}s "
-            f"({lanes['pure_python']['batch_kind']}), numpy "
-            f"{numpy_lane['elapsed_s']:.3f}s ({numpy_lane['batch_kind']}), "
-            f"identical={lanes['identical']}"
-        )
-    else:
-        print(
-            f"lanes on {lanes['scheme']}: pure-python "
-            f"{lanes['pure_python']['elapsed_s']:.3f}s "
-            f"(numpy unavailable)"
-        )
     print(
         f"stats overhead on {stats_overhead['scheme']}: "
         f"{stats_overhead['overhead']:+.2%} (min over "
@@ -910,10 +788,6 @@ def run_bench(
         raise AssertionError(
             f"batch and single-access kernels diverge on {batch['scheme']}"
         )
-    if not lanes["identical"]:
-        raise AssertionError(
-            f"pure-python and numpy batch lanes diverge on {lanes['scheme']}"
-        )
     for row in kernels:
         if row["partitioned"] and not row["last_allocation"]:
             raise AssertionError(
@@ -921,10 +795,6 @@ def run_bench(
                 f"(empty last_allocation): the bench no longer covers "
                 f"the allocation path"
             )
-    if not trace["kernel"]["identical"]:
-        raise AssertionError(
-            f"chunk-cursor and generator feeds diverge on {trace['scheme']}"
-        )
     if not trace["feed"]["identical"]:
         raise AssertionError(
             "chunk replay diverges from generator output in the feed kernel"

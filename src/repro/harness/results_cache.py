@@ -28,6 +28,7 @@ import hashlib
 import json
 import os
 import pickle
+import sys
 import tempfile
 from pathlib import Path
 
@@ -116,8 +117,9 @@ def load(key: str):
 
     A corrupt entry -- torn write, truncation, stale class layout, or
     any other unpickling failure -- is never an error: the bad file is
-    deleted, ``corrupt_entries`` is bumped, and the lookup reports a
-    miss so the sweep simply re-simulates the job.
+    deleted, ``corrupt_entries`` is bumped, one stderr line names the
+    key and the exception type, and the lookup reports a miss so the
+    sweep simply re-simulates the job.
     """
     global HITS, MISSES, CORRUPT
     if not cache_enabled():
@@ -129,7 +131,7 @@ def load(key: str):
     except (FileNotFoundError, IsADirectoryError):
         MISSES += 1
         return None
-    except Exception:
+    except Exception as exc:
         # Unpickling a torn or hostile payload can raise nearly
         # anything (UnpicklingError, EOFError, AttributeError,
         # ImportError, ValueError, ...): drop the entry and miss.
@@ -139,6 +141,11 @@ def load(key: str):
             pass
         MISSES += 1
         CORRUPT += 1
+        print(
+            f"repro: results cache entry {key} is corrupt "
+            f"({type(exc).__name__}); dropped, the job re-simulates",
+            file=sys.stderr,
+        )
         return None
     HITS += 1
     return outcome

@@ -28,11 +28,6 @@ from typing import Callable
 from repro.arrays.base import CacheArray, Candidate
 from repro.replacement.base import ReplacementPolicy
 
-try:  # The numpy lane is optional; everything else is pure python.
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _numpy = None
-
 #: ``part_of`` value for an empty slot.  Partition IDs are
 #: non-negative and Vantage's unmanaged region is -1, so -2 keeps
 #: ``owner >= 0`` as the "slot holds an owned line" test while still
@@ -132,27 +127,13 @@ def fastfwd_tolerance() -> float:
     return value
 
 
-def numpy_default() -> bool:
-    """Whether the vectorized (numpy) batch-kernel lane is requested.
-
-    Off by default: ``REPRO_NUMPY=1`` enables it for the cache
-    classes that register a vectorized builder (sa-LRU, the generic
-    set-associative baseline, way partitioning).  Requesting the lane
-    without numpy installed silently falls back to the pure-python
-    batch kernels -- both lanes are bitwise-identical by contract.
-    """
-    return os.environ.get("REPRO_NUMPY", "0") == "1" and _numpy is not None
-
-
-#: Registries of batch access-kernel builders, keyed by concrete
-#: cache class.  A builder is called as ``builder(cache, ctx)`` with a
+#: Registry of batch access-kernel builders, keyed by concrete cache
+#: class.  A builder is called as ``builder(cache, ctx)`` with a
 #: :class:`BatchContext` and returns a segment kernel (see
 #: :meth:`PartitionedCache.build_batch_kernel` for the signature), or
 #: ``None`` when the cache's array/policy combination has no batch
-#: kernel.  ``_NUMPY_KERNELS`` holds the optional vectorized variants
-#: consulted first when ``REPRO_NUMPY=1``.
+#: kernel.
 _BATCH_KERNELS: dict[type, Callable] = {}
-_NUMPY_KERNELS: dict[type, Callable] = {}
 
 
 def register_batch_kernel(cls: type):
@@ -160,16 +141,6 @@ def register_batch_kernel(cls: type):
 
     def decorator(builder: Callable):
         _BATCH_KERNELS[cls] = builder
-        return builder
-
-    return decorator
-
-
-def register_numpy_kernel(cls: type):
-    """Class decorator registering a vectorized batch builder for ``cls``."""
-
-    def decorator(builder: Callable):
-        _NUMPY_KERNELS[cls] = builder
         return builder
 
     return decorator
@@ -185,13 +156,12 @@ class BatchContext:
     timing, L1 filtering, policy observation, the cache access body
     and finish bookkeeping -- so one call executes events until the
     next boundary the event loop itself must handle (epoch/sample
-    service, a chunk refill, a non-chunked core, or completion).
+    service, a chunk refill, or completion).
 
     All list fields are the *live* scheduler state of the running
     ``CMPSystem.run`` invocation, shared by reference and mutated in
-    place by the kernel: the single-access fallback loop and the
-    kernel read and write the same cursors, so control can bounce
-    between them mid-run with no hand-off step.
+    place by the kernel, so the event loop (and the fast-forward
+    layer) can act between kernel calls with no hand-off step.
 
     ``sample_gets``/``observed``/``mon_accesses`` are the exploded
     fast path of :meth:`UCPPolicy.observe` (per-partition sample
@@ -209,12 +179,6 @@ class BatchContext:
     l1s: list | None
     collect: bool
     l1_hits: list
-    #: True when every latency in the run is an integer (hit latency,
-    #: memory latency and the controllers' service cycles), so all
-    #: event times are integer-valued floats and vectorized time sums
-    #: are bitwise-equal to the scalar chain of additions.  The numpy
-    #: builders refuse to build without it.
-    exact_int_times: bool
     #: -- scheduler state (shared with CMPSystem.run, mutated in place)
     num_cores: int
     target: int
@@ -226,7 +190,6 @@ class BatchContext:
     instructions_at_finish: list
     times: list
     heap: list | None
-    batched: list
 
 
 def scheduler_cells(ctx: BatchContext) -> tuple:
@@ -267,7 +230,6 @@ def scheduler_cells(ctx: BatchContext) -> tuple:
         ctx.instructions_at_finish,
         ctx.times,
         ctx.heap,
-        ctx.batched,
     )
 
 
@@ -498,20 +460,14 @@ class PartitionedCache(ABC):
         :class:`BatchContext`) and reports why it stopped: ``1`` = an
         epoch/sample service is due at ``now`` (repartition/sample,
         then re-enter), ``2`` = core ``cid``'s chunk is exhausted
-        (refill, then re-enter), ``4`` = core ``cid`` is not chunked
-        (run one event on the single-access path, then re-enter),
-        ``3`` = the last unfinished core crossed its target (``now``
-        is the run's final cycle count).  Before every return the
+        (refill, then re-enter), ``3`` = the last unfinished core
+        crossed its target (``now`` is the run's final cycle count).
+        Before every return the
         kernel parks the in-flight core back in the scheduler
         (``times``/``heap``) at its current time, so re-entry resumes
         it through the ordinary selection scan -- there is no hidden
         resume state.  Behaviour is pinned bitwise-identical to the
         single-access loop (``REPRO_BATCH=0``).
-
-        When ``REPRO_NUMPY=1`` and a vectorized builder is registered
-        for this class, it is consulted first; a vectorized builder
-        that declines (unsupported array/policy/L1 combination) falls
-        back to the pure-python batch builder.
 
         Caches with measurement hooks installed decline batching:
         hooks may read hoisted registers mid-segment.
@@ -520,12 +476,6 @@ class PartitionedCache(ABC):
             return None
         if getattr(self, "demotion_hook", None) is not None:
             return None
-        if numpy_default():
-            builder = _NUMPY_KERNELS.get(type(self))
-            if builder is not None:
-                kernel = builder(self, ctx)
-                if kernel is not None:
-                    return kernel
         builder = _BATCH_KERNELS.get(type(self))
         if builder is None:
             return None

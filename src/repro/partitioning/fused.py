@@ -540,7 +540,6 @@ def _baseline_sa_lru_batch(cache, array, policy, ctx):
         free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
         collect, l1_hits, num_cores, target, bufs, positions, limits,
         instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
     ) = scheduler_cells(ctx)
     heappush = _heappush
     heappop = _heappop
@@ -595,11 +594,6 @@ def _baseline_sa_lru_batch(cache, array, policy, ctx):
                 head = heap[0]
                 second = head[0]
                 scid = head[1]
-            if not batched[cid]:
-                if heap is not None:
-                    heappush(heap, (now, cid))
-                reason = 4
-                break
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
@@ -753,7 +747,6 @@ def _baseline_generic_batch(cache, array, policy, ctx):
         free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
         collect, l1_hits, num_cores, target, bufs, positions, limits,
         instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
     ) = scheduler_cells(ctx)
     heappush = _heappush
     heappop = _heappop
@@ -815,11 +808,6 @@ def _baseline_generic_batch(cache, array, policy, ctx):
                 head = heap[0]
                 second = head[0]
                 scid = head[1]
-            if not batched[cid]:
-                if heap is not None:
-                    heappush(heap, (now, cid))
-                reason = 4
-                break
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
@@ -991,7 +979,6 @@ def build_waypart_batch(cache: WayPartitionedCache, ctx):
         free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
         collect, l1_hits, num_cores, target, bufs, positions, limits,
         instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
     ) = scheduler_cells(ctx)
     heappush = _heappush
     heappop = _heappop
@@ -1044,11 +1031,6 @@ def build_waypart_batch(cache: WayPartitionedCache, ctx):
                 head = heap[0]
                 second = head[0]
                 scid = head[1]
-            if not batched[cid]:
-                if heap is not None:
-                    heappush(heap, (now, cid))
-                reason = 4
-                break
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
@@ -1194,7 +1176,6 @@ def build_pipp_batch(cache: PIPPCache, ctx):
         free_at, observe, sample_gets, observed, mon_accesses, l1_accesses,
         collect, l1_hits, num_cores, target, bufs, positions, limits,
         instructions, finished_at, instructions_at_finish, times, heap,
-        batched,
     ) = scheduler_cells(ctx)
     heappush = _heappush
     heappop = _heappop
@@ -1252,11 +1233,6 @@ def build_pipp_batch(cache: PIPPCache, ctx):
                 head = heap[0]
                 second = head[0]
                 scid = head[1]
-            if not batched[cid]:
-                if heap is not None:
-                    heappush(heap, (now, cid))
-                reason = 4
-                break
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]

@@ -33,7 +33,7 @@ Fast-forward is *opt-in* (``REPRO_FASTFWD=1``): the default path stays
 bitwise-identical across the whole existing flag cube, and even when
 enabled the layer declines any configuration whose extra state it
 cannot model (shared-hit policies, L1 filtering, non-UCP observers,
-non-chunked cores, caches without a parking batch kernel).
+caches without a parking batch kernel).
 ``REPRO_FASTFWD_TOL=0`` selects detection-only mode: the detector and
 planner run and log where a skip *would* happen, but every access is
 still simulated.  A plan whose validation fails (per-core access
@@ -201,7 +201,6 @@ class FastForward:
         self,
         system,
         kernel,
-        chunked,
         bufs,
         positions,
         limits,
@@ -243,7 +242,7 @@ class FastForward:
         self._np_views = None
         self.last_decline: str | None = None
         self.model = None
-        self.decline_reason = self._eligibility(kernel, chunked)
+        self.decline_reason = self._eligibility(kernel)
         self.enabled = self.decline_reason is None
         if not self.enabled:
             return
@@ -257,7 +256,7 @@ class FastForward:
     # Eligibility.
     # ------------------------------------------------------------------
 
-    def _eligibility(self, kernel, chunked) -> str | None:
+    def _eligibility(self, kernel) -> str | None:
         """Why this run cannot be fast-forwarded, or None when it can.
 
         Everything the replay extrapolates must be the *whole* state
@@ -293,8 +292,6 @@ class FastForward:
         num_cores = system.config.num_cores
         if cache.num_partitions != num_cores or len(policy.monitors) != num_cores:
             return "requester/partition identity does not hold (cores != partitions)"
-        if not all(chunked):
-            return "not all cores on the compiled-chunk path"
         return None
 
     # ------------------------------------------------------------------

@@ -36,8 +36,8 @@ requester, and reuse-aware UCP classifies such accesses separately.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from repro import telemetry
 from repro.analysis.stats import SizeTimeSeries
@@ -51,7 +51,6 @@ from repro.sim.configs import SystemConfig
 from repro.sim.l1 import L1Cache
 from repro.sim.memory import MemoryModel
 from repro.traces import TraceSpec, get_store
-from repro.traces.chunks import chunk_array_view
 
 
 @dataclass
@@ -93,7 +92,9 @@ class CMPSystem:
         One iterable factory per core: calling ``factory()`` returns a
         fresh (infinite or restartable) iterator of ``(gap, addr)``
         pairs, ``gap`` being the instructions executed since the
-        previous item.
+        previous item.  A :class:`~repro.traces.TraceSpec` factory is
+        fed from the compiled chunk store; any other callable is pulled
+        into per-run buffers of the same shape (see :meth:`run`).
     config:
         A :class:`~repro.sim.configs.SystemConfig`.
     policy:
@@ -104,13 +105,6 @@ class CMPSystem:
         then memory instructions, not L2 accesses).
     size_series / size_sample_cycles:
         Optional :class:`SizeTimeSeries` sampled on the given period.
-    use_chunks:
-        Feed cores whose factory is a :class:`~repro.traces.TraceSpec`
-        from the compiled chunk store instead of calling their
-        generators per event.  ``None`` (default) reads
-        ``REPRO_TRACE_CHUNKS`` (on unless set to ``0``).  Both feeds
-        produce bitwise-identical results (asserted by the parity
-        tests); plain callables always use the generator path.
     use_fastfwd / fastfwd_tol:
         Analytical fast-forward of converged epoch tails (see
         :mod:`repro.sim.fastfwd`).  ``use_fastfwd=None`` reads
@@ -130,7 +124,6 @@ class CMPSystem:
         use_l1: bool = False,
         size_series: SizeTimeSeries | None = None,
         size_sample_cycles: int | None = None,
-        use_chunks: bool | None = None,
         use_batch: bool | None = None,
         use_fastfwd: bool | None = None,
         fastfwd_tol: float | None = None,
@@ -166,9 +159,6 @@ class CMPSystem:
         # is exactly the stall total); epoch/sample counters are
         # per-epoch and always maintained.
         self._collect = telemetry.enabled()
-        if use_chunks is None:
-            use_chunks = os.environ.get("REPRO_TRACE_CHUNKS", "1") != "0"
-        self._use_chunks = use_chunks
         if use_batch is None:
             use_batch = batch_default()
         # Batching layers on top of the fused kernels: with
@@ -188,10 +178,8 @@ class CMPSystem:
         #: The run's :class:`~repro.sim.fastfwd.FastForward` instance
         #: (None until a fast-forward-requested run starts).
         self.fastfwd = None
+        #: Batch-kernel calls of the last run (0: single-access loop).
         self.batch_calls = 0
-        #: which batch lane the last run used: "numpy" (vectorized),
-        #: "python" (pure-python mega kernel) or None (no batching).
-        self.batch_kind: str | None = None
         self._final_times = [0.0] * config.num_cores
         self._instruction_counts = [0] * config.num_cores
         self.l1_hits = [0] * config.num_cores
@@ -243,7 +231,7 @@ class CMPSystem:
         group.stat(
             "trace_chunks",
             lambda: list(self.trace_chunks),
-            "per-core trace chunks fetched from the chunk store",
+            "per-core trace chunks fed to the event loop",
         )
         group.stat(
             "epochs",
@@ -317,7 +305,6 @@ class CMPSystem:
         instructions_at_finish: list,
         times: list,
         heap: list | None,
-        batched: list,
     ):
         """Build the cache's whole-loop batch kernel, or ``None`` when
         the cache class has none registered (or declines, e.g. because
@@ -344,8 +331,7 @@ class CMPSystem:
             EqualSharePolicy.observe,
         ):
             # Static allocators observe nothing; dropping the no-op
-            # call keeps the kernels' per-access path tight and lets
-            # the vectorized lane accept these configurations.
+            # call keeps the kernels' per-access path tight.
             observe = None
         if isinstance(policy, UCPPolicy) and type(policy).observe is UCPPolicy.observe:
             sample_gets = policy._sample_gets
@@ -363,7 +349,6 @@ class CMPSystem:
             l1s=self.l1s,
             collect=self._collect,
             l1_hits=self.l1_hits,
-            exact_int_times=float(memory.service_cycles).is_integer(),
             num_cores=self.config.num_cores,
             target=target,
             bufs=bufs,
@@ -374,25 +359,33 @@ class CMPSystem:
             instructions_at_finish=instructions_at_finish,
             times=times,
             heap=heap,
-            batched=batched,
         )
         return self.cache.build_batch_kernel(ctx)
 
-    def _restart_trace(self, cid: int, iterators: list, nexts: list):
-        """Restart core ``cid``'s finite trace and return its first
-        item.  A factory that produces an *empty* iterator raises a
+    def _pull_pairs(self, cid: int, iterators: list, pairs: int) -> list:
+        """The next ``pairs`` ``(gap, addr)`` pairs of core ``cid``'s
+        plain (non-:class:`~repro.traces.TraceSpec`) factory, as one
+        flat list buffer.
+
+        An iterator that ends is restarted by calling the factory
+        again, at the same point of the stream where
+        :func:`~repro.sim.reference.reference_run` restarts it; one
+        that yields nothing right after a restart raises a
         ``ValueError`` naming the core -- never a raw ``StopIteration``
-        escaping the event loop."""
-        it = self.trace_factories[cid]()
-        iterators[cid] = it
-        nexts[cid] = it.__next__
-        try:
-            return it.__next__()
-        except StopIteration:
-            raise ValueError(
-                f"trace for core {cid} is empty: its factory produced an "
-                f"iterator with no (gap, addr) items"
-            ) from None
+        escaping the event loop.
+        """
+        buf = list(chain.from_iterable(islice(iterators[cid], pairs)))
+        while len(buf) < 2 * pairs:
+            it = self.trace_factories[cid]()
+            iterators[cid] = it
+            more = list(chain.from_iterable(islice(it, pairs - len(buf) // 2)))
+            if not more:
+                raise ValueError(
+                    f"trace for core {cid} is empty: its factory produced an "
+                    f"iterator with no (gap, addr) items"
+                )
+            buf += more
+        return buf
 
     def run(self, instructions_per_core: int) -> SystemResult:
         """Simulate until every core has executed the target
@@ -414,11 +407,13 @@ class CMPSystem:
           heap pop would use), the loop keeps consuming that core's
           trace without re-selecting -- bursty low-gap cores execute
           long runs with no scheduling work at all;
-        - the *chunk cursor*: cores whose trace factory is a
-          :class:`~repro.traces.TraceSpec` read ``(gap, addr)`` pairs
-          by index out of flat buffers compiled ahead of time by the
-          trace store, instead of resuming a generator frame per event;
-          refills happen out of the hot loop, once per 64K-pair chunk.
+        - the *chunk cursor*: every core reads ``(gap, addr)`` pairs by
+          index out of a flat list buffer instead of resuming a
+          generator frame per event.  A :class:`~repro.traces.TraceSpec`
+          core's buffers are chunks compiled ahead of time by the trace
+          store; a plain factory's are pulled from its iterator
+          (:meth:`_pull_pairs`).  Refills happen out of the hot loop,
+          once per chunk (64K pairs by default).
         """
         config = self.config
         cache = self.cache
@@ -430,13 +425,14 @@ class CMPSystem:
 
         num_cores = config.num_cores
         trace_factories = self.trace_factories
-        store = get_store() if self._use_chunks else None
-        chunked = [
-            store is not None and isinstance(factory, TraceSpec)
+        store = get_store()
+        chunk_pairs = store.chunk_pairs
+        # Plain factories feed through their own iterators; TraceSpec
+        # cores keep ``None`` here and read the store.
+        iterators = [
+            None if isinstance(factory, TraceSpec) else factory()
             for factory in trace_factories
         ]
-        iterators: list = [None] * num_cores
-        nexts: list = [None] * num_cores
         bufs: list = [()] * num_cores
         positions = [0] * num_cores
         limits = [0] * num_cores
@@ -457,12 +453,8 @@ class CMPSystem:
             heappush = heapq.heappush
             heappop = heapq.heappop
 
-        # ``batched`` is filled in only after a kernel builds, so the
-        # kernels themselves can rely on it: a False entry sends the
-        # core to the single-access path (reason 4).
-        batched = [False] * num_cores
         batch_kernel = None
-        if self._use_batch and any(chunked):
+        if self._use_batch:
             batch_kernel = self._build_batch_kernel(
                 instructions_per_core,
                 bufs,
@@ -473,21 +465,7 @@ class CMPSystem:
                 instructions_at_finish,
                 times,
                 heap,
-                batched,
             )
-        if batch_kernel is not None:
-            for cid in range(num_cores):
-                batched[cid] = chunked[cid]
-        self.batch_kind = (
-            None
-            if batch_kernel is None
-            else ("numpy" if getattr(batch_kernel, "vectorized", False) else "python")
-        )
-        # Vectorized kernels additionally read chunks as int64 ndarray
-        # views; their buffers are (list, ndarray) pairs.
-        need_arrays = batch_kernel is not None and getattr(
-            batch_kernel, "chunk_arrays", False
-        )
 
         ff = None
         if self._use_fastfwd:
@@ -496,7 +474,6 @@ class CMPSystem:
             self.fastfwd = FastForward(
                 self,
                 batch_kernel,
-                chunked,
                 bufs,
                 positions,
                 limits,
@@ -511,39 +488,32 @@ class CMPSystem:
                 ff = self.fastfwd
 
         def _refill(cid: int):
-            # One store lookup (LRU / disk / compile) per chunk keeps
-            # trace production out of the hot loop entirely.  A stream
-            # that ends (or is empty) surfaces as the same core-naming
-            # ValueError the generator cursor raises -- never a raw
-            # StopIteration or an anonymous compile error.
-            factory = trace_factories[cid]
-            index = next_chunk[cid]
-            try:
-                buf = store.chunk_list(factory, index)
-            except StopIteration:
-                raise ValueError(
-                    f"trace for core {cid} is empty: its factory produced "
-                    f"an iterator with no (gap, addr) items"
-                ) from None
-            except ValueError as exc:
-                raise ValueError(f"trace for core {cid}: {exc}") from None
-            limit = len(buf)
-            if need_arrays:
-                buf = (buf, chunk_array_view(store.get_chunk(factory, index)))
-            next_chunk[cid] += 1
+            # One store lookup (LRU / disk / compile) or iterator pull
+            # per chunk keeps trace production out of the hot loop
+            # entirely.  A stream that ends (or is empty) surfaces as a
+            # core-naming ValueError -- never a raw StopIteration or an
+            # anonymous compile error.
+            if iterators[cid] is None:
+                try:
+                    buf = store.chunk_list(trace_factories[cid], next_chunk[cid])
+                except StopIteration:
+                    raise ValueError(
+                        f"trace for core {cid} is empty: its factory produced "
+                        f"an iterator with no (gap, addr) items"
+                    ) from None
+                except ValueError as exc:
+                    raise ValueError(f"trace for core {cid}: {exc}") from None
+                next_chunk[cid] += 1
+            else:
+                buf = self._pull_pairs(cid, iterators, chunk_pairs)
             trace_chunks[cid] += 1
             bufs[cid] = buf
-            limits[cid] = limit
+            limits[cid] = len(buf)
             positions[cid] = 0
             return buf
 
-        for cid, factory in enumerate(trace_factories):
-            if chunked[cid]:
-                _refill(cid)  # preload each core's first chunk
-            else:
-                it = factory()
-                iterators[cid] = it
-                nexts[cid] = it.__next__
+        for cid in range(num_cores):
+            _refill(cid)  # preload each core's first chunk
 
         inf = float("inf")
         next_epoch = float(epoch_cycles) if policy is not None else inf
@@ -604,11 +574,8 @@ class CMPSystem:
                 if reason == 2:
                     _refill(cid)
                     continue
-                if reason == 3:
-                    break
-                # reason 4: core ``cid`` is not chunked -- fall through
-                # and run one event on the single-access path (the scan
-                # below re-selects it).
+                # reason 3: the last unfinished core crossed its target.
+                break
 
             if use_heap:
                 now, cid = heappop(heap)
@@ -633,7 +600,6 @@ class CMPSystem:
                         second = ti
                         scid = i
 
-            chunk = chunked[cid]
             pos = positions[cid]
             limit = limits[cid]
             buf = bufs[cid]
@@ -655,19 +621,13 @@ class CMPSystem:
                         next_epoch if next_epoch < next_sample else next_sample
                     )
 
-                if chunk:
-                    if pos >= limit:
-                        buf = _refill(cid)
-                        limit = limits[cid]
-                        pos = 0
-                    gap = buf[pos]
-                    addr = buf[pos + 1]
-                    pos += 2
-                else:
-                    try:
-                        gap, addr = nexts[cid]()
-                    except StopIteration:
-                        gap, addr = self._restart_trace(cid, iterators, nexts)
+                if pos >= limit:
+                    buf = _refill(cid)
+                    limit = limits[cid]
+                    pos = 0
+                gap = buf[pos]
+                addr = buf[pos + 1]
+                pos += 2
 
                 count = instructions[cid] + gap + 1
                 instructions[cid] = count
@@ -702,8 +662,7 @@ class CMPSystem:
                         continue
                 break
 
-            if chunk:
-                positions[cid] = pos
+            positions[cid] = pos
             if use_heap:
                 heappush(heap, (t, cid))
             else:

@@ -17,8 +17,10 @@ feed ahead of the timing model:
   on-disk layer (``REPRO_TRACE_CACHE``), so one compilation feeds
   every scheme job -- and every worker process -- in a sweep;
 - :meth:`repro.sim.system.CMPSystem.run` consumes chunks through an
-  index cursor instead of per-event generator calls
-  (``REPRO_TRACE_CHUNKS=0`` restores the generator feed).
+  index cursor instead of per-event generator calls; it is the event
+  loop's only trace feed (plain factories are pulled into buffers of
+  the same shape), while :func:`repro.sim.reference.reference_run`
+  keeps the per-event generator loop as the oracle.
 """
 
 from repro.traces.chunks import DEFAULT_CHUNK_PAIRS, chunk_nbytes, compile_chunk

@@ -384,7 +384,7 @@ class SharedChunkPool:
             try:
                 seg.view.release()
                 seg.map.close()
-            except Exception:
+            except BufferError:
                 # Still exported somewhere teardown has not reached;
                 # the OS reclaims the mapping at process exit.
                 pass

@@ -9,9 +9,9 @@ replay it everywhere.
 
 A spec is itself callable and returns a fresh generator, so it is a
 drop-in trace factory for :class:`~repro.sim.system.CMPSystem`: the
-generator path (and the reference event loop) call ``spec()`` exactly
-as they called the old ``functools.partial`` factories, while the
-optimized loop recognises the spec and switches to the chunk cursor.
+reference event loop calls ``spec()`` exactly as it called the old
+``functools.partial`` factories, while the optimized loop recognises
+the spec and reads its chunks from the store.
 
 Cache keys fold in a *generator-source fingerprint* (the digest of the
 generator and chunk-compiler functions a kind executes), mirroring how

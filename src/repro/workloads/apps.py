@@ -173,9 +173,8 @@ class AppSpec:
         as :class:`~repro.sim.system.CMPSystem` expects.
 
         The callable is a :class:`~repro.traces.TraceSpec`, so the
-        optimized event loop can also feed the same stream through the
-        compiled chunk store; plain callables keep working and simply
-        stay on the generator path.
+        optimized event loop feeds the stream from the compiled chunk
+        store; the reference loop calls it for a generator.
         """
         return self.trace_spec(
             base,

@@ -292,6 +292,27 @@ def test_corrupt_cache_entry_is_dropped_and_counted(cache_dir):
     assert results_cache.load(key).result == serial
 
 
+def test_corrupt_cache_entry_is_logged(cache_dir, capsys):
+    """Dropping a truncated entry logs one stderr line naming the key
+    and the exception type -- the drop is counted *and* visible."""
+    import pickle
+
+    key = results_cache.job_key(_jobs()[0])
+    results_cache.store(key, {"payload": list(range(200))})
+    path = results_cache._entry_path(key)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(Exception) as truncated:
+        pickle.loads(raw[: len(raw) // 2])
+    capsys.readouterr()
+
+    assert results_cache.load(key) is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert key in err
+    assert type(truncated.value).__name__ in err
+
+
 def test_worker_init_ignores_sigint():
     """Pool workers must leave SIGINT to the parent (no traceback
     spray on Ctrl-C)."""

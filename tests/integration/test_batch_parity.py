@@ -8,32 +8,24 @@ path, which is itself a strength reduction over the object path -- so
 every flag combination must produce bitwise-identical results:
 
 * ``REPRO_BATCH`` on/off across every scheme family,
-* randomized combinations of ``REPRO_BATCH`` x ``REPRO_FUSED`` x
-  ``REPRO_TRACE_CHUNKS`` x ``REPRO_NUMPY``,
+* every point of the ``REPRO_BATCH`` x ``REPRO_FUSED`` cube,
 * mid-run ``set_allocations`` (epoch repartitions land *between*
   batched segments: the kernel parks at the service boundary and the
   loop re-enters it),
 * the heap scheduler path (``num_cores > 8``), which has its own run
-  continuation,
-* the optional vectorized lane (``REPRO_NUMPY=1``) inside and outside
-  its support envelope.
+  continuation.
 """
 
 import random
 
 import pytest
 
-from repro.arrays.set_assoc import SetAssociativeArray
-from repro.allocation.static import StaticPolicy
 from repro.harness.env import require_bitwise
-from repro.harness.runner import build_cache, run_mix
+from repro.harness.runner import run_mix
 from repro.harness.schemes import scheme_partitioned
-from repro.partitioning.base_cache import BaselineCache
-from repro.replacement.lru import PerfectLRUPolicy
-from repro.sim import CMPSystem
 from repro.sim.configs import small_system
 from repro.workloads import make_mix
-from repro.workloads.mixes import Mix, mix_classes
+from repro.workloads.mixes import mix_classes
 
 @pytest.fixture(autouse=True)
 def _bitwise_guard():
@@ -60,7 +52,7 @@ SCHEMES = [
     "pipp-sa64",
 ]
 
-FLAG_NAMES = ("REPRO_BATCH", "REPRO_FUSED", "REPRO_TRACE_CHUNKS", "REPRO_NUMPY")
+FLAG_NAMES = ("REPRO_BATCH", "REPRO_FUSED")
 
 
 def _clear_flags(monkeypatch):
@@ -94,42 +86,48 @@ def test_batch_matches_single_access(monkeypatch, scheme, mix_class, mix_index, 
 
     _clear_flags(monkeypatch)
     batched = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
-    assert batched.system.batch_kind == "python"
     assert batched.system.batch_calls > 0
 
     monkeypatch.setenv("REPRO_BATCH", "0")
     plain = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
-    assert plain.system.batch_kind is None
     assert plain.system.batch_calls == 0
 
     assert batched.result == plain.result
     assert batched.stats() == plain.stats()
 
 
-def _draw_flag_combos():
-    """Random points in the flag cube, baseline excluded; the draw is
-    seeded so failures reproduce."""
-    rng = random.Random(0xF1A65)
-    classes = mix_classes()
-    combos = []
-    for scheme in ("lru-sa16", "vantage-z4/52", "waypart-sa16"):
-        for _ in range(3):
-            flags = {name: rng.choice(("0", "1")) for name in FLAG_NAMES}
-            combos.append(
-                (
-                    scheme,
-                    rng.choice(classes),
-                    rng.randrange(1000),
-                    tuple(sorted(flags.items())),
-                )
-            )
-    return combos
+#: The ``REPRO_BATCH`` x ``REPRO_FUSED`` cube minus its default (both
+#: on), which every point is compared against.
+FLAG_POINTS = (
+    (("REPRO_BATCH", "0"), ("REPRO_FUSED", "0")),
+    (("REPRO_BATCH", "0"), ("REPRO_FUSED", "1")),
+    (("REPRO_BATCH", "1"), ("REPRO_FUSED", "0")),
+)
+
+#: One (scheme, mix class, seed) per scheme and cube point, fixed so
+#: failures reproduce.
+FLAG_MIXES = (
+    ("lru-sa16", "tttn", 304),
+    ("lru-sa16", "tnnn", 284),
+    ("lru-sa16", "fttn", 930),
+    ("vantage-z4/52", "ssft", 768),
+    ("vantage-z4/52", "fftn", 48),
+    ("vantage-z4/52", "tnnn", 608),
+    ("waypart-sa16", "nnnn", 581),
+    ("waypart-sa16", "sftt", 367),
+    ("waypart-sa16", "nnnn", 903),
+)
+
+FLAG_COMBOS = [
+    (scheme, mix_class, seed, flags)
+    for (scheme, mix_class, seed), flags in zip(FLAG_MIXES, FLAG_POINTS * 3)
+]
 
 
-@pytest.mark.parametrize("scheme,mix_class,seed,flags", _draw_flag_combos())
+@pytest.mark.parametrize("scheme,mix_class,seed,flags", FLAG_COMBOS)
 def test_random_flag_combinations(monkeypatch, scheme, mix_class, seed, flags):
-    """Every point in the REPRO_BATCH x REPRO_FUSED x
-    REPRO_TRACE_CHUNKS x REPRO_NUMPY cube is the same simulation."""
+    """Every point in the REPRO_BATCH x REPRO_FUSED cube is the same
+    simulation."""
     mix = make_mix(mix_class, 1)
     config = _config(scheme)
 
@@ -141,13 +139,7 @@ def test_random_flag_combinations(monkeypatch, scheme, mix_class, seed, flags):
     variant = run_mix(mix, scheme, config, INSTRUCTIONS, seed=seed)
 
     assert variant.result == baseline.result
-    expected = baseline.stats()
-    actual = variant.stats()
-    # Feed telemetry, not simulation output: chunk counts are zero by
-    # construction when REPRO_TRACE_CHUNKS=0 disables the chunk feed.
-    expected["sim"].pop("trace_chunks", None)
-    actual["sim"].pop("trace_chunks", None)
-    assert actual == expected
+    assert variant.stats() == baseline.stats()
 
 
 @pytest.mark.parametrize("scheme", ["waypart-sa16", "vantage-sa16"])
@@ -192,105 +184,3 @@ def test_heap_scheduler_batch_parity(monkeypatch, scheme):
     assert batched.result == plain.result
     assert batched.stats() == plain.stats()
 
-
-# -- the vectorized lane (REPRO_NUMPY=1) --------------------------------
-
-numpy = pytest.importorskip("numpy")
-
-NUMPY_INSTRUCTIONS = 60_000
-
-
-def _solo_mix():
-    m = make_mix("nftt", 1)
-    return Mix(name="solo", class_letters="n", apps=(m.apps[0],))
-
-
-def test_numpy_lane_matches_python_lane(monkeypatch):
-    """Single-core sa-LRU is inside the vectorized envelope; the lane
-    must engage (``batch_kind == "numpy"``) and agree bitwise."""
-    mix = _solo_mix()
-    config = small_system(num_cores=1)
-
-    _clear_flags(monkeypatch)
-    python = run_mix(mix, "lru-sa16", config, NUMPY_INSTRUCTIONS, seed=7)
-    assert python.system.batch_kind == "python"
-
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    vector = run_mix(mix, "lru-sa16", config, NUMPY_INSTRUCTIONS, seed=7)
-    assert vector.system.batch_kind == "numpy"
-
-    assert vector.result == python.result
-    assert vector.stats() == python.stats()
-
-
-def test_numpy_lane_declines_multicore(monkeypatch):
-    """Outside the envelope (multiple cores) the lane must fall back
-    to the scalar batch kernel, not engage incorrectly."""
-    mix = make_mix("nftt", 1)
-    config = small_system()
-
-    _clear_flags(monkeypatch)
-    monkeypatch.setenv("REPRO_NUMPY", "1")
-    r = run_mix(mix, "lru-sa16", config, INSTRUCTIONS, seed=3)
-    assert r.system.batch_kind == "python"
-
-
-def _numpy_state(cache):
-    return {
-        "tags": list(cache.array._tags),
-        "state": list(cache.policy.state),
-        "accesses": list(cache.stats.accesses),
-        "hits": list(cache.stats.hits),
-        "misses": list(cache.stats.misses),
-        "evictions": list(cache.stats.evictions),
-    }
-
-
-def test_numpy_lane_perfect_lru(monkeypatch):
-    """PerfectLRUPolicy (monotone clock) drives the second stamp
-    column of the vectorized kernel."""
-    config = small_system(num_cores=1)
-    mix = _solo_mix()
-    lines = config.l2_lines
-
-    def run(numpy_on):
-        monkeypatch.setenv("REPRO_NUMPY", "1" if numpy_on else "0")
-        cache = BaselineCache(
-            SetAssociativeArray(lines, 16, seed=3), PerfectLRUPolicy(lines)
-        )
-        system = CMPSystem(
-            cache, [mix.apps[0].trace_factory(base=0, seed=7000)], config
-        )
-        result = system.run(NUMPY_INSTRUCTIONS)
-        return result, _numpy_state(cache), system.batch_kind
-
-    scalar_result, scalar_state, _ = run(False)
-    vector_result, vector_state, kind = run(True)
-    assert kind == "numpy"
-    assert vector_result == scalar_result
-    assert vector_state == scalar_state
-
-
-def test_numpy_lane_waypart_static(monkeypatch):
-    """Way-partitioned caches with a static allocation policy stay
-    inside the envelope (no-op ``observe`` is dropped)."""
-    config = small_system(num_cores=1)
-    mix = _solo_mix()
-
-    def run(numpy_on):
-        monkeypatch.setenv("REPRO_NUMPY", "1" if numpy_on else "0")
-        cache = build_cache("waypart-sa16", config.l2_lines, 1, seed=7)
-        system = CMPSystem(
-            cache,
-            [mix.apps[0].trace_factory(base=0, seed=7000)],
-            config,
-            policy=StaticPolicy([16]),
-        )
-        result = system.run(NUMPY_INSTRUCTIONS)
-        return result, _numpy_state(cache), system.batch_kind
-
-    scalar_result, scalar_state, _ = run(False)
-    vector_result, vector_state, kind = run(True)
-    assert kind == "numpy"
-    assert vector_result == scalar_result
-    assert vector_state == scalar_state

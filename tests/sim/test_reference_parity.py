@@ -11,6 +11,7 @@ from repro.arrays.base import CacheArray
 from repro.arrays.set_assoc import SetAssociativeArray
 from repro.arrays.skew import SkewAssociativeArray
 from repro.arrays.zcache import ZCacheArray
+from repro import telemetry
 from repro.harness.env import require_bitwise
 from repro.harness import build_policy
 from repro.harness.schemes import build_cache
@@ -33,26 +34,34 @@ def _bitwise_guard():
 INSTRUCTIONS = 12_000
 
 
-def _simulate(
-    scheme: str,
-    partitioned: bool,
-    reference: bool,
-    use_chunks: bool | None = None,
-):
-    config = small_system()
-    mix = make_mix("sftn", 1)
+def _build(scheme: str, partitioned: bool, reference: bool, factories, config):
     cache = build_cache(scheme, config.l2_lines, config.num_cores, seed=0)
     policy = build_policy(cache, config, 0) if partitioned else None
     if reference:
         as_reference_cache(cache)
         if policy is not None:
             as_reference_policy(policy)
-    system = CMPSystem(
-        cache, mix.trace_factories(0), config, policy=policy, use_chunks=use_chunks
-    )
+    return CMPSystem(cache, factories, config, policy=policy)
+
+
+def _simulate(scheme: str, partitioned: bool, reference: bool):
+    config = small_system()
+    factories = make_mix("sftn", 1).trace_factories(0)
+    system = _build(scheme, partitioned, reference, factories, config)
     if reference:
         return reference_run(system, INSTRUCTIONS)
     return system.run(INSTRUCTIONS)
+
+
+def _cache_stats(cache) -> dict:
+    st = cache.stats
+    return {
+        "accesses": list(st.accesses),
+        "hits": list(st.hits),
+        "misses": list(st.misses),
+        "evictions": list(st.evictions),
+        "sizes": cache.partition_sizes(),
+    }
 
 
 @pytest.mark.parametrize(
@@ -76,14 +85,53 @@ def test_reference_and_optimized_results_identical(scheme, partitioned):
     [("vantage-z4/52", True), ("lru-sa16", False)],
 )
 def test_chunk_and_generator_feeds_identical(scheme, partitioned):
-    """The chunk-cursor feed is a pure re-encoding of the generator
-    feed: same events in the same order, so bitwise-equal results --
-    and both equal the reference event loop."""
-    chunked = _simulate(scheme, partitioned, reference=False, use_chunks=True)
-    generated = _simulate(scheme, partitioned, reference=False, use_chunks=False)
-    reference = _simulate(scheme, partitioned, reference=True)
-    assert chunked == generated
-    assert chunked == reference
+    """A plain generator factory is pulled into per-run buffers that
+    re-encode the same stream the trace store compiles for its
+    :class:`TraceSpec`: same events in the same order through the
+    batch kernel, so bitwise-equal results and stats trees -- and
+    both equal the reference event loop."""
+    config = small_system()
+    specs = make_mix("sftn", 1).trace_factories(0)
+    plain = [lambda s=spec: s.generator() for spec in specs]
+
+    runs = []
+    for factories in (specs, plain):
+        system = _build(scheme, partitioned, False, factories, config)
+        tree = telemetry.system_tree(
+            cache=system.cache, system=system, policy=system.policy
+        )
+        result = system.run(INSTRUCTIONS)
+        assert system.batch_calls > 0
+        runs.append((result, tree.snapshot()))
+
+    (spec_result, spec_stats), (plain_result, plain_stats) = runs
+    assert plain_result == spec_result
+    assert plain_stats == spec_stats
+    assert spec_result == _simulate(scheme, partitioned, reference=True)
+
+
+def test_finite_plain_factory_restarts_like_reference():
+    """A finite plain factory restarts where the reference loop
+    restarts it: a 5-item trace on core 1 (restarted many times per
+    buffer fill) beside a compiled trace on core 0 matches
+    :func:`reference_run` bitwise through the batch kernel."""
+    config = small_system(num_cores=2)
+    base = 1 << 44
+    items = [(3, base + 1), (0, base + 2), (7, base + 900), (1, base + 1), (2, base + 5)]
+    factories = [
+        make_mix("sftn", 1).trace_factories(0)[0],
+        lambda: iter(items),
+    ]
+
+    optimized = _build("vantage-z4/52", True, False, factories, config)
+    opt_result = optimized.run(INSTRUCTIONS)
+    assert optimized.batch_calls > 0
+
+    reference = _build("vantage-z4/52", True, True, factories, config)
+    ref_result = reference_run(reference, INSTRUCTIONS)
+
+    assert opt_result == ref_result
+    assert _cache_stats(optimized.cache) == _cache_stats(reference.cache)
 
 
 def test_chunk_feed_cold_and_warm_disk_cache_identical(tmp_path, monkeypatch):
@@ -93,15 +141,15 @@ def test_chunk_feed_cold_and_warm_disk_cache_identical(tmp_path, monkeypatch):
 
     monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
     reset_store()
-    no_disk = _simulate("vantage-z4/52", True, reference=False, use_chunks=True)
+    no_disk = _simulate("vantage-z4/52", True, reference=False)
 
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     reset_store()
-    cold = _simulate("vantage-z4/52", True, reference=False, use_chunks=True)
+    cold = _simulate("vantage-z4/52", True, reference=False)
     assert get_store().bytes_written > 0  # the cold run populated disk
 
     reset_store()  # fresh memory: the warm run must come from disk
-    warm = _simulate("vantage-z4/52", True, reference=False, use_chunks=True)
+    warm = _simulate("vantage-z4/52", True, reference=False)
     assert get_store().disk_hits > 0
     assert get_store().compiles == 0
 

@@ -183,7 +183,7 @@ class TestValidation:
     def test_exhausted_trace_mid_segment_on_batch_path(self, monkeypatch):
         """A chunked trace that ends mid-run surfaces through the batch
         kernel's refill return (reason 2) as the same core-naming
-        ValueError the generator cursor raises -- never a bare
+        ValueError the reference loop raises -- never a bare
         StopIteration or an anonymous compile error."""
         from repro.traces import TraceSpec
         from repro.traces.store import reset_store
@@ -199,7 +199,6 @@ class TestValidation:
         monkeypatch.setenv("REPRO_TRACE_CHUNK_PAIRS", "64")
         monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
         monkeypatch.delenv("REPRO_BATCH", raising=False)
-        monkeypatch.delenv("REPRO_TRACE_CHUNKS", raising=False)
         reset_store()
         try:
             config = tiny_config(cores=2)
@@ -216,8 +215,7 @@ class TestValidation:
             with pytest.raises(ValueError, match="core 1"):
                 system.run(100_000)
             # The failure must have come out of the batch path, not a
-            # silent fallback to the generator cursor.
-            assert system.batch_kind == "python"
+            # silent fallback to the single-access loop.
             assert system.batch_calls > 0
         finally:
             monkeypatch.undo()

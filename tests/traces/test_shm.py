@@ -278,6 +278,32 @@ def test_forked_worker_exit_does_not_unlink(monkeypatch):
     fresh.close(unlink=False)
 
 
+def test_atexit_cleanup_survives_live_export():
+    """A payload slice still held at exit keeps its mapping exported:
+    cleanup leaves that mapping to the OS (no BufferError escapes, the
+    slice stays readable) and still unlinks the owner's name.  Errors
+    other than a live export propagate."""
+    pool = shm.get_pool()
+    buf = _chunk(8)
+    view, _ = pool.publish(KEY, 10, buf, 8)
+    held = view[0:4]
+    pool._atexit_cleanup()
+    assert held.tolist() == buf[0:4].tolist()
+    assert not (shm.shm_dir() / segment_name(KEY, 10)).exists()
+    held.release()
+
+    class BrokenView:
+        def release(self):
+            raise RuntimeError("not an export error")
+
+    pool.publish(KEY, 11, buf, 8)
+    seg = next(iter(pool._segments.values()))
+    real_view, seg.view = seg.view, BrokenView()
+    with pytest.raises(RuntimeError, match="not an export error"):
+        pool._atexit_cleanup()
+    seg.view = real_view  # the fixture's close() releases it
+
+
 # -- store integration --------------------------------------------------
 
 
